@@ -1,7 +1,9 @@
 #include "graph/dag.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -18,16 +20,30 @@ NodeId Graph::add_node(OpNode node) {
              "node `" + node.name + "`: out_bytes must be finite and non-negative");
     MW_CHECK(node.external_in_bytes >= 0.0 && std::isfinite(node.external_in_bytes),
              "node `" + node.name + "`: external_in_bytes must be finite and non-negative");
+    std::uint64_t h = nodes_hash_;
+    for (const double v : {node.cost.flops, node.cost.bytes_in, node.cost.bytes_out,
+                           node.cost.bytes_weights, node.cost.work_items, node.out_bytes,
+                           node.external_in_bytes}) {
+        h = hash_word(h, std::bit_cast<std::uint64_t>(v));
+    }
+    h = hash_word(h, static_cast<std::uint64_t>(node.cost.kernel_launches));
+    h = hash_word(h, node.inputs.size());
+    for (const NodeId u : node.inputs) h = hash_word(h, u);
+    nodes_hash_ = h;
     nodes_.push_back(std::move(node));
     return id;
 }
 
-std::vector<std::vector<NodeId>> Graph::consumers() const {
-    std::vector<std::vector<NodeId>> out(nodes_.size());
-    for (NodeId v = 0; v < nodes_.size(); ++v) {
-        for (const NodeId u : nodes_[v].inputs) out[u].push_back(v);
+ConsumerIndex::ConsumerIndex(const std::vector<OpNode>& nodes) : begin_(nodes.size() + 1, 0) {
+    for (const OpNode& node : nodes) {
+        for (const NodeId u : node.inputs) ++begin_[u + 1];
     }
-    return out;
+    for (std::size_t u = 1; u < begin_.size(); ++u) begin_[u] += begin_[u - 1];
+    ids_.resize(begin_.back());
+    std::vector<std::size_t> next(begin_.begin(), begin_.end() - 1);
+    for (NodeId v = 0; v < nodes.size(); ++v) {
+        for (const NodeId u : nodes[v].inputs) ids_[next[u]++] = v;
+    }
 }
 
 void Graph::validate() const {
@@ -77,36 +93,29 @@ double Graph::worst_case_intensity() const {
 }
 
 std::uint64_t Graph::fingerprint() const {
-    constexpr std::uint64_t kOffset = 1469598103934665603ULL;
-    constexpr std::uint64_t kPrime = 1099511628211ULL;
-    std::uint64_t h = kOffset;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xffU;
-            h *= kPrime;
-        }
-    };
-    const auto mix_double = [&mix](double v) {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    };
-    for (const char c : name_) mix(static_cast<std::uint64_t>(c));
-    mix(nodes_.size());
-    for (const OpNode& node : nodes_) {
-        mix_double(node.cost.flops);
-        mix_double(node.cost.bytes_in);
-        mix_double(node.cost.bytes_out);
-        mix_double(node.cost.bytes_weights);
-        mix_double(node.cost.work_items);
-        mix(static_cast<std::uint64_t>(node.cost.kernel_launches));
-        mix_double(node.out_bytes);
-        mix_double(node.external_in_bytes);
-        mix(node.inputs.size());
-        for (const NodeId u : node.inputs) mix(u);
+    return hash_word(hash_bytes(nodes_hash_, name_), nodes_.size());
+}
+
+std::uint64_t hash_word(std::uint64_t h, std::uint64_t word) {
+    std::uint64_t z = (h ^ word) + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+std::uint64_t hash_bytes(std::uint64_t h, std::string_view bytes) {
+    std::size_t i = 0;
+    for (; i + 8 <= bytes.size(); i += 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, bytes.data() + i, 8);
+        h = hash_word(h, word);
     }
-    return h;
+    if (i < bytes.size()) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, bytes.data() + i, bytes.size() - i);
+        h = hash_word(h, word);
+    }
+    return hash_word(h, bytes.size());
 }
 
 }  // namespace mw::graph

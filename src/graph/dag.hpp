@@ -14,7 +14,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -30,6 +33,22 @@ struct OpNode {
     double out_bytes = 0.0;          ///< footprint of the output tensor
     double external_in_bytes = 0.0;  ///< graph-input bytes read from host memory
     std::vector<NodeId> inputs;      ///< producer node ids (all < this node's id)
+};
+
+/// Every node's consumers in one flat array with per-node offsets:
+/// index[u] lists the nodes that read u's output, ascending.
+class ConsumerIndex {
+public:
+    explicit ConsumerIndex(const std::vector<OpNode>& nodes);
+
+    [[nodiscard]] std::size_t size() const { return begin_.size() - 1; }
+    [[nodiscard]] std::span<const NodeId> operator[](NodeId u) const {
+        return {ids_.data() + begin_[u], ids_.data() + begin_[u + 1]};
+    }
+
+private:
+    std::vector<std::size_t> begin_;
+    std::vector<NodeId> ids_;
 };
 
 /// An operator DAG. Append-only: add_node() validates that every producer
@@ -51,7 +70,7 @@ public:
     [[nodiscard]] const std::vector<OpNode>& nodes() const { return nodes_; }
 
     /// consumers()[u] = every node that reads u's output, ascending.
-    [[nodiscard]] std::vector<std::vector<NodeId>> consumers() const;
+    [[nodiscard]] ConsumerIndex consumers() const { return ConsumerIndex(nodes_); }
 
     /// Re-check the topological invariant and footprint sanity; throws
     /// InvalidArgument with the offending node named. Graphs built through
@@ -68,12 +87,23 @@ public:
     /// edge spilled (the memory-bound vs compute-bound axis of the bench).
     [[nodiscard]] double worst_case_intensity() const;
 
-    /// FNV-1a fingerprint over structure and footprints (plan-cache key).
+    /// Plan-cache key: a word-wise hash (hash_word) over every node's cost
+    /// fields, footprints and producer ids, kept up to date by add_node(),
+    /// with the name and node count folded in here. O(name length).
     [[nodiscard]] std::uint64_t fingerprint() const;
 
 private:
     std::string name_;
     std::vector<OpNode> nodes_;
+    std::uint64_t nodes_hash_ = 0;
 };
+
+/// One step of the fingerprint hash: the splitmix64 finaliser applied to
+/// `h ^ word` plus the golden-ratio increment. Doubles enter as their bits.
+[[nodiscard]] std::uint64_t hash_word(std::uint64_t h, std::uint64_t word);
+
+/// Fold `bytes` into `h` eight bytes per hash_word() step (the last word
+/// zero-padded), then the length.
+[[nodiscard]] std::uint64_t hash_bytes(std::uint64_t h, std::string_view bytes);
 
 }  // namespace mw::graph

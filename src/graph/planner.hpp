@@ -15,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/sync.hpp"
@@ -52,6 +54,9 @@ PlannerDevice snapshot_device(const device::Device& device, double now);
 
 class GraphPlanner {
 public:
+    /// Plans the cache keeps before evicting the least recently used one.
+    static constexpr std::size_t kPlanCacheCapacity = 4096;
+
     GraphPlanner() = default;
 
     GraphPlanner(const GraphPlanner&) = delete;
@@ -71,10 +76,12 @@ public:
 
     /// Cached plan for serving: the grouping/placement is memoised under a
     /// canonical key (graph fingerprint, objective, device memory shapes)
-    /// and re-timed against the devices' current free_at. The cache mutex
-    /// holds rank kGraphPlanner — BELOW the whole single-node scheduling
-    /// stack, so planning may wrap scheduler/registry/device reads but no
-    /// component deeper in the stack may call back into the planner.
+    /// and re-timed against the devices' current free_at. The cache holds
+    /// at most kPlanCacheCapacity plans and evicts the least recently used.
+    /// The cache mutex holds rank kGraphPlanner — BELOW the whole
+    /// single-node scheduling stack, so planning may wrap
+    /// scheduler/registry/device reads but no component deeper in the
+    /// stack may call back into the planner.
     [[nodiscard]] std::shared_ptr<const Schedule> plan_cached(
         const Graph& graph, const std::vector<PlannerDevice>& devices, Objective objective,
         Schedule* instantiated);
@@ -88,8 +95,12 @@ public:
                                        const std::vector<PlannerDevice>& devices) const;
 
 private:
+    using CacheEntry = std::pair<std::uint64_t, std::shared_ptr<const Schedule>>;
+
     mutable Mutex cache_mutex_{LockRank::kGraphPlanner};
-    std::unordered_map<std::uint64_t, std::shared_ptr<const Schedule>> cache_
+    /// Most recently used first; cache_index_ maps a key to its entry.
+    std::list<CacheEntry> cache_lru_ MW_GUARDED_BY(cache_mutex_);
+    std::unordered_map<std::uint64_t, std::list<CacheEntry>::iterator> cache_index_
         MW_GUARDED_BY(cache_mutex_);
     std::size_t cache_hits_ MW_GUARDED_BY(cache_mutex_) = 0;
 };

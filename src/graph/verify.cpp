@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace mw::graph {
 namespace {
@@ -22,93 +21,87 @@ std::string step_desc(const Schedule& schedule, std::size_t index) {
     return os.str();
 }
 
-/// The memory traffic of one step, recomputed from the graph and placement
-/// alone. Distinct tensors pulled in before computing and pushed out
-/// afterwards, split by which tier they cross: same-device cross-step
+/// What the replay of one step recomputes from the graph and placement
+/// alone. Traffic: distinct tensors pulled in before computing and pushed
+/// out afterwards, split by which tier they cross: same-device cross-step
 /// tensors round-trip the device's own slow tier (`local`); cross-device
 /// tensors, graph inputs and graph outputs cross the spill link (`link`).
-struct StepTraffic {
+/// Peak residency under the execution contract: all external inputs
+/// resident for the whole step, fused intermediates live from production
+/// until their last in-group consumer, plus the running node's output.
+struct StepReplay {
     double load_link_bytes = 0.0;
     double load_local_bytes = 0.0;
     double store_link_bytes = 0.0;
     double store_local_bytes = 0.0;
+    double peak_residency = 0.0;
 };
 
-StepTraffic step_traffic(const Graph& graph, const Schedule& schedule, const Step& step,
-                         const std::vector<std::size_t>& step_of,
-                         const std::vector<std::vector<NodeId>>& consumers,
-                         std::size_t step_index) {
-    StepTraffic traffic;
-    std::unordered_set<NodeId> loaded;
+/// Node-indexed tables of one verify_schedule() call. Every node id used to
+/// index them is range-checked first; step_of/position hold a value for
+/// every node once coverage passed.
+struct ReplayTables {
+    const std::vector<OpNode>& nodes;
+    const ConsumerIndex& consumers;
+    const std::vector<std::size_t>& step_of;
+    const std::vector<std::size_t>& position;  ///< index within its step
+    std::vector<std::size_t> loaded_in;        ///< last step that counted u's tensor
+    std::vector<std::size_t> last_use;         ///< per step position
+    std::vector<char> ephemeral;               ///< per step position
+};
+
+StepReplay replay_step(ReplayTables& t, const Schedule& schedule, std::size_t step_index) {
+    const Step& step = schedule.steps[step_index];
+    StepReplay replay;
+    double external_in = 0.0;
     for (const NodeId v : step.nodes) {
-        traffic.load_link_bytes += graph.node(v).external_in_bytes;  // graph inputs
-        for (const NodeId u : graph.node(v).inputs) {
-            if (step_of[u] != step_index && loaded.insert(u).second) {
-                const bool same_device = schedule.steps[step_of[u]].device == step.device;
-                (same_device ? traffic.load_local_bytes : traffic.load_link_bytes) +=
-                    graph.node(u).out_bytes;
+        const double graph_input = t.nodes[v].external_in_bytes;
+        replay.load_link_bytes += graph_input;
+        external_in += graph_input;
+        for (const NodeId u : t.nodes[v].inputs) {
+            if (t.step_of[u] != step_index && t.loaded_in[u] != step_index) {
+                t.loaded_in[u] = step_index;
+                const bool same_device = schedule.steps[t.step_of[u]].device == step.device;
+                (same_device ? replay.load_local_bytes : replay.load_link_bytes) +=
+                    t.nodes[u].out_bytes;
+                external_in += t.nodes[u].out_bytes;
             }
         }
     }
-    for (const NodeId v : step.nodes) {
-        bool stored = consumers[v].empty();  // graph output -> back to the host
-        bool crosses_device = consumers[v].empty();
-        for (const NodeId w : consumers[v]) {
-            if (step_of[w] == step_index) continue;
+
+    // last_use[j] = last in-step position consuming step.nodes[j]'s output.
+    const std::size_t size = step.nodes.size();
+    t.last_use.assign(size, 0);
+    t.ephemeral.assign(size, 0);
+    for (std::size_t j = 0; j < size; ++j) {
+        const NodeId v = step.nodes[j];
+        const std::span<const NodeId> consumers = t.consumers[v];
+        bool stored = consumers.empty();  // graph output -> back to the host
+        bool crosses_device = consumers.empty();
+        for (const NodeId w : consumers) {
+            if (t.step_of[w] == step_index) {
+                t.ephemeral[j] = 1;
+                t.last_use[j] = std::max(t.last_use[j], t.position[w]);
+                continue;
+            }
             stored = true;
-            if (schedule.steps[step_of[w]].device != step.device) crosses_device = true;
+            if (schedule.steps[t.step_of[w]].device != step.device) crosses_device = true;
         }
         if (stored) {
-            (crosses_device ? traffic.store_link_bytes : traffic.store_local_bytes) +=
-                graph.node(v).out_bytes;
-        }
-    }
-    return traffic;
-}
-
-/// Peak fast-memory residency of one step under the execution contract:
-/// all external inputs resident for the whole step, fused intermediates
-/// live from production until their last in-group consumer, plus the
-/// running node's output.
-double peak_residency(const Graph& graph, const Step& step,
-                      const std::vector<std::size_t>& step_of,
-                      const std::vector<std::vector<NodeId>>& consumers,
-                      std::size_t step_index) {
-    double external_in = 0.0;
-    std::unordered_set<NodeId> loaded;
-    std::unordered_map<NodeId, std::size_t> position;
-    for (std::size_t i = 0; i < step.nodes.size(); ++i) position[step.nodes[i]] = i;
-    for (const NodeId v : step.nodes) {
-        external_in += graph.node(v).external_in_bytes;
-        for (const NodeId u : graph.node(v).inputs) {
-            if (step_of[u] != step_index && loaded.insert(u).second) {
-                external_in += graph.node(u).out_bytes;
-            }
+            (crosses_device ? replay.store_link_bytes : replay.store_local_bytes) +=
+                t.nodes[v].out_bytes;
         }
     }
 
-    // last_use[j] = last in-group position consuming step.nodes[j]'s output.
-    std::vector<std::size_t> last_use(step.nodes.size(), 0);
-    std::vector<bool> ephemeral(step.nodes.size(), false);
-    for (std::size_t j = 0; j < step.nodes.size(); ++j) {
-        for (const NodeId w : consumers[step.nodes[j]]) {
-            const auto it = position.find(w);
-            if (it != position.end()) {
-                ephemeral[j] = true;
-                last_use[j] = std::max(last_use[j], it->second);
-            }
-        }
-    }
-
-    double peak = 0.0;
-    for (std::size_t i = 0; i < step.nodes.size(); ++i) {
+    for (std::size_t i = 0; i < size; ++i) {
         double live = 0.0;
         for (std::size_t j = 0; j < i; ++j) {
-            if (ephemeral[j] && last_use[j] >= i) live += graph.node(step.nodes[j]).out_bytes;
+            if (t.ephemeral[j] != 0 && t.last_use[j] >= i) live += t.nodes[step.nodes[j]].out_bytes;
         }
-        peak = std::max(peak, external_in + live + graph.node(step.nodes[i]).out_bytes);
+        replay.peak_residency =
+            std::max(replay.peak_residency, external_in + live + t.nodes[step.nodes[i]].out_bytes);
     }
-    return peak;
+    return replay;
 }
 
 }  // namespace
@@ -164,9 +157,13 @@ std::vector<Violation> verify_schedule(const Graph& graph, const Schedule& sched
     }
 
     // --- coverage: every operator exactly once -----------------------------
+    // Node and device indices are all in range from here on.
     std::vector<std::size_t> step_of(graph.size(), kUnscheduled);
+    std::vector<std::size_t> position(graph.size(), 0);
     for (std::size_t s = 0; s < schedule.steps.size(); ++s) {
-        for (const NodeId v : schedule.steps[s].nodes) {
+        const std::vector<NodeId>& members = schedule.steps[s].nodes;
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            const NodeId v = members[i];
             if (step_of[v] != kUnscheduled) {
                 report(ViolationKind::kCoverage,
                        "node " + std::to_string(v) + " (`" + graph.node(v).name +
@@ -174,6 +171,7 @@ std::vector<Violation> verify_schedule(const Graph& graph, const Schedule& sched
                            step_desc(schedule, s));
             } else {
                 step_of[v] = s;
+                position[v] = i;
             }
         }
     }
@@ -191,20 +189,15 @@ std::vector<Violation> verify_schedule(const Graph& graph, const Schedule& sched
         return out;  // timing/capacity replay needs full, unique coverage
     }
 
-    const auto consumers = graph.consumers();
+    const std::vector<OpNode>& nodes = graph.nodes();
     const double abs_tol = 1e-12;
 
     // --- precedence --------------------------------------------------------
-    for (NodeId v = 0; v < graph.size(); ++v) {
-        for (const NodeId u : graph.node(v).inputs) {
+    for (NodeId v = 0; v < nodes.size(); ++v) {
+        for (const NodeId u : nodes[v].inputs) {
             if (step_of[u] == step_of[v]) {
                 // Within a step the listed order must respect the edge.
-                const Step& step = schedule.steps[step_of[v]];
-                const auto pos = [&step](NodeId id) {
-                    return std::find(step.nodes.begin(), step.nodes.end(), id) -
-                           step.nodes.begin();
-                };
-                if (pos(u) > pos(v)) {
+                if (position[u] > position[v]) {
                     report(ViolationKind::kPrecedence,
                            "edge " + std::to_string(u) + " -> " + std::to_string(v) +
                                " runs backwards inside " + step_desc(schedule, step_of[v]));
@@ -224,21 +217,32 @@ std::vector<Violation> verify_schedule(const Graph& graph, const Schedule& sched
     }
 
     // --- per-device overlap ------------------------------------------------
-    std::vector<std::vector<std::size_t>> by_device(schedule.devices.size());
-    for (std::size_t s = 0; s < schedule.steps.size(); ++s) {
-        by_device[schedule.steps[s].device].push_back(s);
+    // Steps grouped by device (in step order), each group sorted by start.
+    std::vector<std::size_t> device_begin(schedule.devices.size() + 1, 0);
+    for (const Step& step : schedule.steps) ++device_begin[step.device + 1];
+    for (std::size_t d = 1; d < device_begin.size(); ++d) {
+        device_begin[d] += device_begin[d - 1];
     }
-    for (auto& steps : by_device) {
-        std::sort(steps.begin(), steps.end(), [&schedule](std::size_t a, std::size_t b) {
-            return schedule.steps[a].start_s < schedule.steps[b].start_s;
-        });
-        for (std::size_t i = 1; i < steps.size(); ++i) {
-            const Step& prev = schedule.steps[steps[i - 1]];
-            const Step& cur = schedule.steps[steps[i]];
+    std::vector<std::size_t> by_device(schedule.steps.size());
+    {
+        std::vector<std::size_t> next(device_begin.begin(), device_begin.end() - 1);
+        for (std::size_t s = 0; s < schedule.steps.size(); ++s) {
+            by_device[next[schedule.steps[s].device]++] = s;
+        }
+    }
+    for (std::size_t d = 0; d < schedule.devices.size(); ++d) {
+        std::sort(by_device.begin() + static_cast<std::ptrdiff_t>(device_begin[d]),
+                  by_device.begin() + static_cast<std::ptrdiff_t>(device_begin[d + 1]),
+                  [&schedule](std::size_t a, std::size_t b) {
+                      return schedule.steps[a].start_s < schedule.steps[b].start_s;
+                  });
+        for (std::size_t i = device_begin[d] + 1; i < device_begin[d + 1]; ++i) {
+            const Step& prev = schedule.steps[by_device[i - 1]];
+            const Step& cur = schedule.steps[by_device[i]];
             if (cur.start_s + abs_tol < prev.end_s()) {
                 std::ostringstream os;
-                os << step_desc(schedule, steps[i]) << " starts at " << cur.start_s
-                   << " while " << step_desc(schedule, steps[i - 1]) << " runs until "
+                os << step_desc(schedule, by_device[i]) << " starts at " << cur.start_s
+                   << " while " << step_desc(schedule, by_device[i - 1]) << " runs until "
                    << prev.end_s();
                 report(ViolationKind::kOverlap, os.str());
             }
@@ -246,12 +250,16 @@ std::vector<Violation> verify_schedule(const Graph& graph, const Schedule& sched
     }
 
     // --- capacity + bandwidth ----------------------------------------------
+    const ConsumerIndex consumers = graph.consumers();
+    ReplayTables tables{nodes, consumers, step_of, position,
+                        std::vector<std::size_t>(graph.size(), kUnscheduled), {}, {}};
     for (std::size_t s = 0; s < schedule.steps.size(); ++s) {
         const Step& step = schedule.steps[s];
         const MemorySpec& mem = schedule.devices[step.device];
+        const StepReplay replay = replay_step(tables, schedule, s);
 
         if (mem.scratchpad_bytes > 0.0) {
-            const double peak = peak_residency(graph, step, step_of, consumers, s);
+            const double peak = replay.peak_residency;
             if (peak > mem.scratchpad_bytes * (1.0 + rel_tol)) {
                 std::ostringstream os;
                 os << step_desc(schedule, s) << " peak residency " << peak
@@ -260,7 +268,6 @@ std::vector<Violation> verify_schedule(const Graph& graph, const Schedule& sched
             }
         }
 
-        const StepTraffic traffic = step_traffic(graph, schedule, step, step_of, consumers, s);
         const auto check_phase = [&](double link_bytes, double local_bytes, double phase_s,
                                      const char* phase) {
             if (link_bytes <= 0.0 && local_bytes <= 0.0) return;
@@ -291,8 +298,8 @@ std::vector<Violation> verify_schedule(const Graph& graph, const Schedule& sched
                 report(ViolationKind::kBandwidth, os.str());
             }
         };
-        check_phase(traffic.load_link_bytes, traffic.load_local_bytes, step.load_s, "load");
-        check_phase(traffic.store_link_bytes, traffic.store_local_bytes, step.store_s, "store");
+        check_phase(replay.load_link_bytes, replay.load_local_bytes, step.load_s, "load");
+        check_phase(replay.store_link_bytes, replay.store_local_bytes, step.store_s, "store");
     }
 
     return out;

@@ -5,7 +5,9 @@
 // coverage, precedence, per-device overlap, scratchpad capacity, and spill
 // bandwidth. It deliberately shares no code with the planner — only the
 // data types — so a planner bug cannot hide behind a matching bug here;
-// everything is recomputed from the graph with an independent traversal.
+// everything is recomputed from the graph with an independent traversal
+// over the verifier's own node-indexed tables, and no table is indexed
+// with a step's device index or node id before it has been range-checked.
 // `mw-graph-verify` (verify_main.cpp) wraps this over schedule files.
 #pragma once
 

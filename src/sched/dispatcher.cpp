@@ -182,9 +182,8 @@ graph::Schedule Dispatcher::run_schedule(const graph::Graph& graph,
                 if (step_of[u] != s) earliest = std::max(earliest, step_end[step_of[u]]);
             }
         }
-        const device::Measurement m = devices[step.device]->book(
-            graph.name() + "#step" + std::to_string(s), step.duration_s(), step.energy_j,
-            earliest);
+        const device::Measurement m =
+            devices[step.device]->book(graph.name(), step.duration_s(), step.energy_j, earliest);
         step.start_s = m.start_time;
         step_end[s] = m.end_time;
     }

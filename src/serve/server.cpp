@@ -105,6 +105,10 @@ Server::Server(sched::OnlineScheduler& scheduler, sched::Dispatcher& dispatcher,
       clock_(&clock),
       scheduler_(&scheduler),
       dispatcher_(&dispatcher),
+      graph_metrics_{stats_.mutable_registry().counter("mw_graph_runs_total"),
+                     stats_.mutable_registry().counter("mw_graph_steps_total"),
+                     stats_.mutable_registry().counter("mw_graph_fused_ops_total"),
+                     stats_.mutable_registry().gauge("mw_graph_spill_seconds_total")},
       queue_(config.queue_capacity),
       admission_(config.admission, queue_, stats_),
       batcher_(config.batching, queue_, clock),
@@ -217,11 +221,10 @@ Server::GraphRunResult Server::run_graph(const graph::Graph& graph, sched::Polic
         out.verified = true;
     }
 
-    obs::MetricsRegistry& registry = stats_.mutable_registry();
-    registry.counter("mw_graph_runs_total").inc();
-    registry.counter("mw_graph_steps_total").inc(out.executed.steps.size());
-    registry.counter("mw_graph_fused_ops_total").inc(out.executed.fused_ops());
-    registry.gauge("mw_graph_spill_seconds_total").add(out.executed.spill_seconds());
+    graph_metrics_.runs.inc();
+    graph_metrics_.steps.inc(out.executed.steps.size());
+    graph_metrics_.fused_ops.inc(out.executed.fused_ops());
+    graph_metrics_.spill_seconds.add(out.executed.spill_seconds());
     return out;
 }
 

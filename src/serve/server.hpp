@@ -32,6 +32,7 @@
 #include "fault/health.hpp"
 #include "graph/dag.hpp"
 #include "graph/schedule.hpp"
+#include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/admission.hpp"
 #include "serve/batcher.hpp"
@@ -241,6 +242,14 @@ private:
     sched::Dispatcher* dispatcher_;
 
     ServerStats stats_;
+    /// run_graph's series, registered once at construction.
+    struct GraphMetrics {
+        obs::Counter& runs;
+        obs::Counter& steps;
+        obs::Counter& fused_ops;
+        obs::Gauge& spill_seconds;
+    };
+    GraphMetrics graph_metrics_;
     RequestQueue queue_;
     AdmissionController admission_;
     BatchAggregator batcher_;

@@ -6,8 +6,12 @@
 // scheduler/dispatcher/server integration path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -24,6 +28,7 @@
 #include "ml/random_forest.hpp"
 #include "nn/model_builder.hpp"
 #include "nn/zoo.hpp"
+#include "sched/dispatcher.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/scheduler_dataset.hpp"
 #include "serve/server.hpp"
@@ -89,6 +94,21 @@ TEST(GraphDag, FingerprintTracksStructureAndFootprints) {
     cfg.tensor_mb *= 2.0;
     const graph::Graph c = graph::make_synthetic(cfg);
     EXPECT_NE(a.fingerprint(), c.fingerprint());
+
+    graph::Graph renamed = a;
+    renamed.set_name(a.name() + "'");
+    EXPECT_NE(a.fingerprint(), renamed.fingerprint());
+
+    // Same nodes, one edge rewired: structure alone must move the key.
+    const auto diamond = [](graph::NodeId join_input) {
+        graph::Graph g("diamond");
+        for (int i = 0; i < 3; ++i) g.add_node(graph::make_op("op", 64.0, 64.0, 1.0));
+        graph::OpNode join = graph::make_op("op", 64.0, 64.0, 1.0);
+        join.inputs = {join_input};
+        g.add_node(std::move(join));
+        return g;
+    };
+    EXPECT_NE(diamond(1).fingerprint(), diamond(2).fingerprint());
 }
 
 TEST(GraphDag, WorkloadFamiliesMatchTheirIntensity) {
@@ -279,6 +299,140 @@ TEST(GraphPlanner, CachedPlanHitsAndRetimesAgainstBusyDevices) {
     expect_feasible(g, second, "re-timed");
 }
 
+TEST(GraphPlanner, PlanCacheEvictsLeastRecentlyUsedAtCapacity) {
+    graph::GraphPlanner planner;
+    const auto devices = testbed_devices();
+    const auto plan = [&](const graph::Graph& g) {
+        (void)planner.plan_cached(g, devices, graph::Objective::kMakespan, nullptr);
+    };
+    const auto fresh = [](std::size_t i) {
+        graph::Graph g("fresh-" + std::to_string(i));
+        g.add_node(graph::make_op("op", 1024.0, 1024.0, 1.0));
+        return g;
+    };
+    const graph::Graph hot = graph::make_compute_bound();
+    constexpr std::size_t kCapacity = graph::GraphPlanner::kPlanCacheCapacity;
+    constexpr std::size_t kFresh = kCapacity + 100;
+
+    std::size_t hot_plans = 0;
+    for (std::size_t i = 0; i < kFresh; ++i) {
+        plan(fresh(i));
+        if (i % 512 == 0) {
+            plan(hot);  // re-planned well inside the eviction window
+            ++hot_plans;
+        }
+    }
+    EXPECT_EQ(planner.cache_size(), kCapacity);
+    EXPECT_EQ(planner.cache_hits(), hot_plans - 1);
+
+    plan(fresh(kFresh - 1));  // recent: still cached
+    EXPECT_EQ(planner.cache_hits(), hot_plans);
+    plan(fresh(0));  // least recently used: evicted long ago
+    EXPECT_EQ(planner.cache_hits(), hot_plans);
+    EXPECT_EQ(planner.cache_size(), kCapacity);
+}
+
+// Golden plans: every planner entry point and the dispatcher's re-timing
+// must reproduce these schedules bit for bit. Each constant is the FNV-1a
+// digest of a schedule's `mwsched 1` text (doubles at %.17g, lossless), so
+// any change to grouping, placement or a single phase double moves it.
+std::uint64_t text_digest(const std::string& text) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+std::uint64_t schedule_digest(const graph::Graph& g, const graph::Schedule& s) {
+    std::ostringstream os;
+    s.save(os, g);
+    return text_digest(os.str());
+}
+
+TEST(GraphPlanner, GoldenPlansAreBitIdentical) {
+    struct Golden {
+        const char* label;
+        std::uint64_t plan, monolithic, cached, executed;
+    };
+    const Golden expected[] = {
+        // clang-format off
+        {"random-1/makespan", 0x184d630a230f611e, 0x450b2c6043476d1e, 0x8c3911961c15d4b0, 0x38262f26e04a8f56},
+        {"random-1/energy", 0x26af8b8dc3d54d69, 0x450b2c6043476d1e, 0x26af8b8dc3d54d69, 0xa91aeb1d414188f1},
+        {"random-2/makespan", 0x7bc4d373e1d5cc14, 0x15a5a24eed7a0a00, 0x1e8319ef3d7e16cd, 0xcd786f6a20575d0c},
+        {"random-2/energy", 0x91a70b0d02528c7f, 0x15a5a24eed7a0a00, 0x91a70b0d02528c7f, 0xea526bf66dcbaed4},
+        {"random-3/makespan", 0x714905d572e7899d, 0x75e413a7ca1130be, 0xb62d0f7317886955, 0xa953d1e9fb50ba56},
+        {"random-3/energy", 0xac95191c318f2964, 0x75e413a7ca1130be, 0xac95191c318f2964, 0x6051b0587be3f0bb},
+        {"membound-x0.50/makespan", 0x6e73c5b5b720308a, 0xebf708e58a020c9a, 0x44b7e29499e5320b, 0x4dd4c49a6bf2ed61},
+        {"membound-x0.50/energy", 0x6e73c5b5b720308a, 0xebf708e58a020c9a, 0x6e73c5b5b720308a, 0x586471f6cdac7c10},
+        {"computebound-x0.50/makespan", 0x1f5d3fc23a24ad0e, 0x1f5d3fc23a24ad0e, 0xd5320eab9583c516, 0xa4a1d47904eec40e},
+        {"computebound-x0.50/energy", 0x1f5d3fc23a24ad0e, 0x1f5d3fc23a24ad0e, 0xd5320eab9583c516, 0xb0754454c4bc606c},
+        {"membound-x1.00/makespan", 0xdda54676fcf68f78, 0xaf951537267b42be, 0xbd7c985eadd1ba1b, 0xc1113145bb046c66},
+        {"membound-x1.00/energy", 0x8634a56f93b424a6, 0xaf951537267b42be, 0x8634a56f93b424a6, 0x1c18aae44591de2d},
+        {"computebound-x1.00/makespan", 0x4fb9c6f16e289a27, 0x4fb9c6f16e289a27, 0x7484d70d254d6238, 0x3620ad5d27aee7ca},
+        {"computebound-x1.00/energy", 0x4fb9c6f16e289a27, 0x4fb9c6f16e289a27, 0x7484d70d254d6238, 0xdc44ac8438fc9e82},
+        {"membound-x4.00/makespan", 0xf68ba6fde2a07fb8, 0xbfb8a792d5bdbae5, 0xa2725529f76f32f6, 0x430b894a466251e6},
+        {"membound-x4.00/energy", 0x65506b927f873939, 0xbfb8a792d5bdbae5, 0x65506b927f873939, 0x316365a5a83e2695},
+        {"computebound-x4.00/makespan", 0xa46d9c4c5e850d95, 0xa46d9c4c5e850d95, 0xb7897179cdd90157, 0x5ff8cee2a4cbbde2},
+        {"computebound-x4.00/energy", 0xa46d9c4c5e850d95, 0xa46d9c4c5e850d95, 0xb7897179cdd90157, 0xa4146f85bd901e9f},
+        // clang-format on
+    };
+
+    std::vector<graph::Graph> graphs;
+    for (const std::uint64_t seed : {1, 2, 3}) {
+        Rng rng(seed);
+        graphs.push_back(graph::random_dag(rng, graph::SynthConfig{.stages = 24, .branches = 8}));
+        graphs.back().set_name("random-" + std::to_string(seed));
+    }
+    for (const double scale : {0.5, 1.0, 4.0}) {
+        graphs.push_back(graph::make_memory_bound(scale));
+        graphs.push_back(graph::make_compute_bound(scale));
+    }
+
+    // Busy devices: queued work and part-way DVFS ramps.
+    auto busy = testbed_devices();
+    const double free_at[] = {0.003, 0.0, 0.0125};
+    const double clock_ratio[] = {0.6, 0.85, 0.4};
+    for (std::size_t d = 0; d < busy.size(); ++d) {
+        busy[d].free_at = free_at[d];
+        busy[d].clock_ratio = clock_ratio[d];
+    }
+    const graph::GraphPlanner planner;
+    graph::GraphPlanner cache;
+    device::DeviceRegistry registry = device::DeviceRegistry::standard_testbed();
+    sched::Dispatcher dispatcher(registry);
+
+    std::vector<Golden> actual;
+    for (const graph::Graph& g : graphs) {
+        for (const auto objective : {graph::Objective::kMakespan, graph::Objective::kEnergy}) {
+            const std::string label =
+                g.name() + (objective == graph::Objective::kMakespan ? "/makespan" : "/energy");
+            graph::Schedule missed;
+            graph::Schedule hit;
+            (void)cache.plan_cached(g, busy, objective, &missed);
+            (void)cache.plan_cached(g, busy, objective, &hit);
+            EXPECT_EQ(schedule_digest(g, missed), schedule_digest(g, hit)) << label;
+            const graph::Schedule executed = dispatcher.run_schedule(g, hit, 0.001);
+            actual.push_back({nullptr, schedule_digest(g, planner.plan(g, busy, objective)),
+                              schedule_digest(g, planner.plan_monolithic(g, busy, objective)),
+                              schedule_digest(g, hit), schedule_digest(g, executed)});
+            expect_feasible(g, executed, label.c_str());
+
+            const std::size_t i = actual.size() - 1;
+            const bool known = i < std::size(expected) && label == expected[i].label;
+            const Golden& want = known ? expected[i] : Golden{};
+            EXPECT_TRUE(known && want.plan == actual[i].plan &&
+                        want.monolithic == actual[i].monolithic &&
+                        want.cached == actual[i].cached && want.executed == actual[i].executed)
+                << std::hex << std::showbase << "{\"" << label << "\", " << actual[i].plan
+                << ", " << actual[i].monolithic << ", " << actual[i].cached << ", "
+                << actual[i].executed << "},";
+        }
+    }
+    EXPECT_EQ(actual.size(), std::size(expected));
+}
+
 // ---------------------------------------------------------------------------
 // mwsched text format
 // ---------------------------------------------------------------------------
@@ -427,6 +581,57 @@ TEST_F(GraphVerifier, RejectsUndercountedStorePhaseWhenConsumerMovesDevices) {
     const auto violations = graph::verify_schedule(graph_, bad);
     EXPECT_TRUE(has_kind(violations, graph::ViolationKind::kBandwidth))
         << graph::format_violations(violations);
+}
+
+TEST_F(GraphVerifier, RejectsMalformedStepsWithoutReadingOutOfBounds) {
+    // Each mutant must come back kMalformed before any table is indexed
+    // with the bad value (the sanitizer presets catch a stray read).
+    const auto expect_malformed = [this](const graph::Schedule& bad, const char* what) {
+        const auto violations = graph::verify_schedule(graph_, bad);
+        EXPECT_TRUE(has_kind(violations, graph::ViolationKind::kMalformed))
+            << what << ":\n"
+            << graph::format_violations(violations);
+    };
+    constexpr std::size_t kHuge = static_cast<std::size_t>(-1);
+    for (const std::size_t device : {schedule_.devices.size(), kHuge}) {
+        graph::Schedule bad = schedule_;
+        bad.steps.back().device = device;
+        expect_malformed(bad, "device index out of range");
+    }
+    for (const graph::NodeId node : {graph_.size(), kHuge}) {
+        graph::Schedule bad = schedule_;
+        bad.steps.front().nodes.push_back(node);
+        expect_malformed(bad, "node id outside the graph");
+    }
+    {
+        graph::Schedule bad = schedule_;
+        bad.steps.insert(bad.steps.begin() + 1, graph::Step{});
+        expect_malformed(bad, "empty step");
+    }
+    {
+        graph::Schedule bad = schedule_;
+        bad.steps.front().load_s = std::nan("");
+        expect_malformed(bad, "NaN phase");
+    }
+    {
+        graph::Schedule bad = schedule_;
+        bad.steps.back().compute_s = -1e-6;
+        expect_malformed(bad, "negative phase");
+    }
+}
+
+TEST_F(GraphVerifier, RejectsBackwardsOrderInsideAFusedStep) {
+    graph::Schedule bad = schedule_;
+    const auto fused = std::find_if(bad.steps.begin(), bad.steps.end(),
+                                    [](const graph::Step& step) { return step.nodes.size() > 1; });
+    ASSERT_NE(fused, bad.steps.end()) << "plan fused no operators";
+    std::reverse(fused->nodes.begin(), fused->nodes.end());
+    const auto violations = graph::verify_schedule(graph_, bad);
+    const auto backwards = std::find_if(violations.begin(), violations.end(), [](const auto& v) {
+        return v.kind == graph::ViolationKind::kPrecedence &&
+               v.message.find("runs backwards") != std::string::npos;
+    });
+    EXPECT_NE(backwards, violations.end()) << graph::format_violations(violations);
 }
 
 // ---------------------------------------------------------------------------
