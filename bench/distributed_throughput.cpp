@@ -60,7 +60,6 @@ struct Fleet {
             // batch reports its full latency once per member, which would
             // overcount device busy time by a timing-dependent factor.
             node_config.server.batching.enabled = false;
-            node_config.server.worker_poll_s = 0.0005;
             node_config.completion_poll_s = 0.0005;
             nodes.push_back(std::make_unique<cluster::Node>(
                 node_config, bundle, clock, *transport));

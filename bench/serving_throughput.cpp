@@ -7,10 +7,10 @@
 //
 // Part 2 holds the worker count fixed and toggles dynamic batching on a tiny
 // model under max-rate arrivals, printing per-policy throughput / latency /
-// energy. There the per-request serving cost (scheduler decision under the
-// serialising mutex, dispatch bookkeeping, future completion) dominates, and
-// coalescing amortises it across the batch — the real mechanism by which
-// dynamic batching raises sustained QPS at equal workers.
+// energy. There the per-request serving cost (scheduler decision, dispatch
+// bookkeeping, future completion) dominates, and coalescing amortises it
+// across the batch — the real mechanism by which dynamic batching raises
+// sustained QPS at equal workers.
 //
 // Part 3 repeats the max-rate run with a TraceRecorder installed and reports
 // the sustained-QPS cost of recording every request-path span (budget: <5%).
@@ -20,15 +20,15 @@
 // QPS surviving the kill via breaker exclusion and recovering after the
 // half-open re-probe.
 //
-// Part 5 is the lock-free hot path (DESIGN.md §15): closed-loop ticket
-// clients against the sharded work-stealing rings vs the same traffic
-// against the legacy mutexed queue at equal workers. Its ticket-path QPS is
-// the headline `sustained_qps` the CI gate compares.
+// Part 5 is the zero-allocation ticket API (DESIGN.md §15): closed-loop
+// ticket clients against the sharded work-stealing rings. Its QPS is the
+// headline `sustained_qps` the CI gate compares.
 //
 // Flags: --quick shortens every window (the CI gate mode); --json PATH
 // writes the headline numbers as BENCH_serving.json for tools/bench-compare;
-// --contend runs only the hot-vs-legacy comparison with more workers than
-// hardware cores (the TSan CI leg: maximum steal/preemption interleaving).
+// --contend runs only the ticket load, with more workers than hardware cores
+// and a small reject-oldest queue (the TSan CI leg: producers evict lane
+// heads while workers pop and steal the same rings).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -175,7 +175,7 @@ void print_policy_table(const char* label, const LoadResult& r) {
                 t.rejected_full + t.evicted, t.shed);
 }
 
-/// Part 5: closed-loop ticket clients on the lock-free hot path. Each client
+/// Part 5: closed-loop ticket clients on the sharded rings. Each client
 /// keeps a bounded window of outstanding tickets (submit_ticket / try_result
 /// / release), so steady state performs no heap allocation end to end and
 /// the measured QPS is what the server sustains, not what a pacer offered.
@@ -185,7 +185,6 @@ LoadResult run_ticket_load(World& world, const serve::ServerConfig& config,
     constexpr std::size_t kWindow = 64;
     WallClock clock;
     serve::Server server(*world.scheduler, world.dispatcher, clock, config);
-    MW_CHECK(server.hot_path_active(), "ticket load needs the hot path active");
     const auto pool = make_payload_pool(traffic, 64);
 
     Atomic<std::size_t> offered{0};
@@ -328,55 +327,38 @@ DegradedResult run_degraded(World& world, double window_s) {
 }
 
 /// The headline numbers the CI regression gate compares. `sustained_qps` is
-/// the hot ticket-path number; `legacy_qps` (the pre-hot-path serving stack
-/// on identical traffic and workers) is printed for context.
+/// the ticket-path number of part 5.
 struct BenchSummary {
     double sustained_qps = 0.0;
     double queue_wait_p95_s = 0.0;
     double queue_wait_p99_s = 0.0;
     double mean_batch = 0.0;
     double energy_per_request_j = 0.0;
-    double legacy_qps = 0.0;
     DegradedResult degraded;
 };
 
-/// The hot-vs-legacy comparison (part 5, and the whole bench under
-/// --contend): identical traffic, identical worker count, the only delta is
-/// HotPathConfig::enabled and the client interface it unlocks.
-std::pair<LoadResult, LoadResult> run_hot_vs_legacy(World& world,
-                                                    std::size_t workers,
-                                                    double duration_s,
-                                                    std::size_t clients) {
-    const TrafficSpec tiny{"simple", 4, 8, true};
-    serve::ServerConfig hot;
-    hot.workers = workers;
-    hot.queue_capacity = 1024;
-    hot.admission.policy = serve::BackpressurePolicy::kRejectNewest;
-    hot.batching = {.enabled = true, .max_requests = 32, .max_samples = 4096,
-                    .max_wait_s = 0.002};
-    hot.hot_path.stats_flush_batches = 32;  // amortise shard flushes under contention
-    serve::ServerConfig legacy = hot;
-    legacy.hot_path.enabled = false;
+/// Part 5's server: the tiny model, 32-request batches, stats shards
+/// flushed every 32 batches to amortise them under contention.
+serve::ServerConfig ticket_config(std::size_t workers) {
+    serve::ServerConfig config;
+    config.workers = workers;
+    config.queue_capacity = 1024;
+    config.admission.policy = serve::BackpressurePolicy::kRejectNewest;
+    config.batching = {.enabled = true, .max_requests = 32, .max_samples = 4096,
+                       .max_wait_s = 0.002};
+    config.hot_path.stats_flush_batches = 32;
+    return config;
+}
 
-    std::printf("\nlock-free hot path vs legacy queue on %s, %zu workers, "
-                "%zu closed-loop clients:\n",
-                tiny.model, workers, clients);
-    const auto legacy_result = run_load(world, legacy, tiny, 1e9, duration_s);
-    const double legacy_qps =
-        static_cast<double>(legacy_result.snapshot.totals().completed) /
-        legacy_result.elapsed_s;
-    const auto hot_result = run_ticket_load(world, hot, tiny, duration_s, clients);
-    const double hot_qps =
-        static_cast<double>(hot_result.snapshot.totals().completed) /
-        hot_result.elapsed_s;
-    const auto& hot_lane = hot_result.snapshot.of(sched::Policy::kMaxThroughput);
-    std::printf("  legacy (mutexed queue, futures):   %9.0f QPS\n", legacy_qps);
-    std::printf("  hot (sharded rings, tickets):      %9.0f QPS  (%.2fx)\n", hot_qps,
-                legacy_qps > 0.0 ? hot_qps / legacy_qps : 0.0);
-    std::printf("  hot queue wait: p95 %s, p99 %s (bounded by the closed loop)\n",
-                format_duration(hot_lane.queue_p95_s).c_str(),
-                format_duration(hot_lane.queue_p99_s).c_str());
-    return {hot_result, legacy_result};
+void print_ticket_result(const LoadResult& r) {
+    const auto t = r.snapshot.totals();
+    const auto& lane = r.snapshot.of(sched::Policy::kMaxThroughput);
+    std::printf("  sustained %9.0f QPS (%zu completed, %zu evicted, %zu rejected)\n",
+                static_cast<double>(t.completed) / r.elapsed_s, t.completed, t.evicted,
+                t.rejected_full);
+    std::printf("  queue wait: p95 %s, p99 %s (bounded by the closed loop)\n",
+                format_duration(lane.queue_p95_s).c_str(),
+                format_duration(lane.queue_p99_s).c_str());
 }
 
 void write_json(const char* path, const BenchSummary& s) {
@@ -392,7 +374,6 @@ void write_json(const char* path, const BenchSummary& s) {
                  "  \"queue_wait_p99_s\": %.9f,\n"
                  "  \"mean_batch\": %.3f,\n"
                  "  \"energy_per_request_j\": %.9f,\n"
-                 "  \"legacy_qps\": %.3f,\n"
                  "  \"degraded\": {\n"
                  "    \"healthy_qps\": %.3f,\n"
                  "    \"killed_qps\": %.3f,\n"
@@ -401,7 +382,7 @@ void write_json(const char* path, const BenchSummary& s) {
                  "  }\n"
                  "}\n",
                  s.sustained_qps, s.queue_wait_p95_s, s.queue_wait_p99_s,
-                 s.mean_batch, s.energy_per_request_j, s.legacy_qps,
+                 s.mean_batch, s.energy_per_request_j,
                  s.degraded.healthy_qps, s.degraded.killed_qps,
                  s.degraded.recovered_qps,
                  s.degraded.healthy_qps > 0.0
@@ -440,16 +421,25 @@ int main(int argc, char** argv) {
     std::printf("building world (profiling + scheduler training)...\n");
     World world;
 
-    // --- --contend: hot-vs-legacy only, oversubscribed -------------------
+    const TrafficSpec tiny{"simple", 4, 8, true};
+
+    // --- --contend: ticket load only, oversubscribed, evicting -----------
     // Workers beyond the hardware cores force preemption inside every ring
-    // and steal window; the TSan CI leg runs exactly this configuration, so
-    // the schedules the sanitizer sees are the most hostile ones.
+    // and steal window, and a small reject-oldest queue makes producers pop
+    // lane heads that workers are popping and stealing at the same time; the
+    // TSan CI leg runs exactly this configuration, so the schedules the
+    // sanitizer sees are the most hostile ones.
     if (contend) {
         const std::size_t cores = std::thread::hardware_concurrency();
         const std::size_t workers = (cores > 0 ? cores : 4) + 2;
-        std::printf("\ncontention mode: %zu workers on %zu hardware cores\n",
-                    workers, cores);
-        (void)run_hot_vs_legacy(world, workers, quick ? 0.5 : 1.5, workers);
+        serve::ServerConfig config = ticket_config(workers);
+        config.queue_capacity = 16;
+        config.admission.policy = serve::BackpressurePolicy::kRejectOldest;
+        std::printf("\ncontention mode: %zu workers on %zu hardware cores, "
+                    "reject-oldest queue of %zu\n",
+                    workers, cores, config.queue_capacity);
+        print_ticket_result(
+            run_ticket_load(world, config, tiny, quick ? 0.5 : 1.5, workers));
         return 0;
     }
 
@@ -478,7 +468,6 @@ int main(int argc, char** argv) {
     // --- Part 2: batching off vs on at max-rate arrivals ----------------
     // The tiny Iris model makes per-request serving overhead the bottleneck;
     // arrivals are submitted as fast as the client can push them.
-    const TrafficSpec tiny{"simple", 4, 8, true};
     serve::ServerConfig unbatched = sweep_config;
     serve::ServerConfig batched = sweep_config;
     batched.batching = {.enabled = true, .max_requests = 32, .max_samples = 4096,
@@ -498,21 +487,20 @@ int main(int argc, char** argv) {
     std::printf("sustained QPS: %.0f -> %.0f (%.1fx) at equal workers\n", off_qps, on_qps,
                 off_qps > 0.0 ? on_qps / off_qps : 0.0);
 
-    // --- Part 5: lock-free hot path vs legacy queue ----------------------
-    // Same tiny model and worker count; ticket clients on sharded rings vs
-    // the mutexed queue. This is the CI gate's headline sustained_qps.
-    const auto [hot, legacy] = run_hot_vs_legacy(world, 3, maxrate_s, 4);
+    // --- Part 5: ticket clients on the sharded rings ---------------------
+    // Same tiny model and worker count as part 2, closed-loop ticket
+    // clients. This is the CI gate's headline sustained_qps.
+    std::printf("\nticket API on %s, 3 workers, 4 closed-loop clients:\n", tiny.model);
+    const LoadResult tickets = run_ticket_load(world, ticket_config(3), tiny, maxrate_s, 4);
+    print_ticket_result(tickets);
 
-    // Headline numbers for the CI regression gate, from the hot ticket run.
+    // Headline numbers for the CI regression gate, from the ticket run.
     BenchSummary summary;
     {
-        const auto totals = hot.snapshot.totals();
+        const auto totals = tickets.snapshot.totals();
         summary.sustained_qps =
-            static_cast<double>(totals.completed) / hot.elapsed_s;
-        summary.legacy_qps =
-            static_cast<double>(legacy.snapshot.totals().completed) /
-            legacy.elapsed_s;
-        const auto& lane = hot.snapshot.of(sched::Policy::kMaxThroughput);
+            static_cast<double>(totals.completed) / tickets.elapsed_s;
+        const auto& lane = tickets.snapshot.of(sched::Policy::kMaxThroughput);
         summary.queue_wait_p95_s = std::isnan(lane.queue_p95_s) ? 0.0 : lane.queue_p95_s;
         summary.queue_wait_p99_s = std::isnan(lane.queue_p99_s) ? 0.0 : lane.queue_p99_s;
         summary.mean_batch =

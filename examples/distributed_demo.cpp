@@ -50,7 +50,6 @@ struct Demo {
             config.name = "node" + std::to_string(i);
             config.server.workers = 2;
             config.server.queue_capacity = 256;
-            config.server.worker_poll_s = 0.0005;
             config.completion_poll_s = 0.0005;
             nodes.push_back(std::make_unique<cluster::Node>(config, bundle,
                                                             clock, *transport));

@@ -20,7 +20,6 @@ const char* lock_rank_name(LockRank rank) noexcept {
         case LockRank::kFaultInject: return "fault-inject";
         case LockRank::kDevice: return "device";
         case LockRank::kFaultHealth: return "fault-health";
-        case LockRank::kServeQueue: return "serve-queue";
         case LockRank::kAdmission: return "admission";
         case LockRank::kStats: return "stats";
         case LockRank::kPool: return "pool";

@@ -93,16 +93,15 @@ namespace stdsync = ::std;
 ///                                           probes device clock state)
 ///   registry  -> device                    (DeviceRegistry::add wires peers,
 ///                                           load_model_everywhere loads)
-///   serve-queue -> admission               (RequestQueue::remove_if invokes
-///                                           the deadline predicate under the
-///                                           queue lock)
 ///   cluster-router -> cluster-transport -> net-fault
 ///                                          (Router::submit keeps its pending
 ///                                           table locked across the send so a
 ///                                           response cannot race the insert)
-///   cluster-node -> serve-queue -> ...     (Node::handle_frame holds its
+///   cluster-node -> admission -> ...       (Node::handle_frame holds its
 ///                                           completion queue across
-///                                           Server::submit)
+///                                           Server::submit, whose
+///                                           deadline-shed check reads the
+///                                           admission EWMA table)
 /// Everything else is acquired with nothing held. New mutexes slot in at the
 /// loosest rank that keeps their acquisition chains monotone; leaf locks that
 /// are never held across calls into other components go late (logger last,
@@ -130,7 +129,6 @@ enum class LockRank : int {
     kFaultInject = 35,     ///< fault::FaultInjector per-device fault streams
     kDevice = 40,          ///< device::Device internal state
     kFaultHealth = 45,     ///< fault::DeviceHealthTracker breaker/EWMA table
-    kServeQueue = 50,      ///< serve::RequestQueue lanes
     kAdmission = 60,       ///< serve::AdmissionController EWMA table
     kStats = 70,           ///< serve::ServerStats counters/histograms
     kPool = 80,            ///< ThreadPool task queue

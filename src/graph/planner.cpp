@@ -184,7 +184,9 @@ struct SimResult {
 /// producer lives on this device (earlier in `sequence`, or committed to
 /// `device_index` in `node_device`) move at the local slow-tier rate; cut
 /// tensors stored for consumers NOT all known to be on this device pay the
-/// spill link — conservative for yet-unplaced consumers, which keeps every
+/// spill link. A store whose off-sequence consumers are not placed yet may
+/// still turn out local, so it is priced at the slower of the two tiers
+/// (plus the link latency, in case it crosses after all), which keeps every
 /// planned phase at or above the verifier's recomputed minimum.
 void simulate_sequence(PlanScratch& s, std::span<const NodeId> sequence,
                        const PlannerDevice& device, std::size_t device_index,
@@ -234,18 +236,23 @@ void simulate_sequence(PlanScratch& s, std::span<const NodeId> sequence,
         }
         double store_link = 0.0;
         double store_local = 0.0;
+        double store_unplaced = 0.0;  // of store_link: no consumer placed elsewhere yet
         for (const NodeId v : group) {
             const std::span<const NodeId> consumers = s.consumers[v];
             bool stored = consumers.empty();  // graph output -> back to the host
             bool all_local = !consumers.empty();
+            bool crosses = consumers.empty();
             for (const NodeId w : consumers) {
                 if (s.members.contains(w)) continue;
                 stored = true;
                 if (!s.in_sequence.contains(w) && node_device[w] != device_index) {
                     all_local = false;
+                    crosses = crosses || node_device[w] != kNoDevice;
                 }
             }
-            if (stored) (all_local ? store_local : store_link) += s.nodes[v].out_bytes;
+            if (!stored) continue;
+            (all_local ? store_local : store_link) += s.nodes[v].out_bytes;
+            if (!all_local && !crosses) store_unplaced += s.nodes[v].out_bytes;
         }
         if ((load_link > 0.0 || store_link > 0.0) && mem.link_gbps <= 0.0) return false;
         if ((load_local > 0.0 || store_local > 0.0) && mem.local_gbps <= 0.0) return false;
@@ -255,6 +262,13 @@ void simulate_sequence(PlanScratch& s, std::span<const NodeId> sequence,
         step.start_s = std::max(cursor, ready);
         step.load_s = phase_time(load_link, load_local);
         step.store_s = phase_time(store_link, store_local);
+        if (store_unplaced > 0.0 && mem.local_gbps < mem.link_gbps) {
+            // The link is the faster tier here: unplaced consumers that land
+            // on this device would make those stores slower, local ones.
+            step.store_s = mem.link_latency_s +
+                           (store_link - store_unplaced) / (mem.link_gbps * kGiga) +
+                           (store_local + store_unplaced) / (mem.local_gbps * kGiga);
+        }
 
         s.cost.total = nn::LayerCost{};
         s.cost.per_layer.clear();

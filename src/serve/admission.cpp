@@ -1,13 +1,10 @@
 #include "serve/admission.hpp"
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 
 namespace mw::serve {
 
-AdmissionController::AdmissionController(AdmissionConfig config, RequestQueue& queue,
-                                         ServerStats& stats)
-    : config_(std::move(config)), queue_(&queue), stats_(&stats) {
+AdmissionController::AdmissionController(AdmissionConfig config) : config_(config) {
     MW_CHECK(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
              "ewma_alpha must be in (0,1]");
     MW_CHECK(config_.default_slo_s >= 0.0, "default_slo_s must be non-negative");
@@ -16,100 +13,32 @@ AdmissionController::AdmissionController(AdmissionConfig config, RequestQueue& q
              "not free)");
 }
 
-bool AdmissionController::admit(Request&& request, double now) {
-    if (request.slo_s <= 0.0) request.slo_s = config_.default_slo_s;
-    request.arrival_s = now;
-    stats_->on_submitted(request.policy);
-
-    if (config_.policy == BackpressurePolicy::kDeadlineShed &&
-        deadline_unmeetable(request, now)) {
-        // Hopeless on arrival: the execute estimate alone exceeds the SLO.
-        stats_->on_shed(request.policy);
-        MW_TRACE_INSTANT(obs::Phase::kAdmit, request.id, now, "shed-deadline");
-        MW_TRACE_INSTANT(obs::Phase::kComplete, request.id, now, "shed-deadline");
-        request.complete(make_status_response(RequestStatus::kShedDeadline));
-        return false;
-    }
-
-    if (queue_->try_push(request)) {
-        stats_->on_admitted(request.policy);
-        MW_TRACE_INSTANT(obs::Phase::kAdmit, request.id, now, "admitted");
-        return true;
-    }
-
-    switch (config_.policy) {
-        case BackpressurePolicy::kRejectNewest:
-            break;  // fall through to rejecting the newcomer
-
-        case BackpressurePolicy::kRejectOldest: {
-            if (std::optional<Request> victim = queue_->evict_oldest()) {
-                stats_->on_evicted(victim->policy);
-                MW_TRACE_INSTANT(obs::Phase::kComplete, victim->id, now, "evicted");
-                victim->complete(make_status_response(RequestStatus::kEvicted));
-            }
-            if (queue_->try_push(request)) {
-                stats_->on_admitted(request.policy);
-                MW_TRACE_INSTANT(obs::Phase::kAdmit, request.id, now, "admitted");
-                return true;
-            }
-            break;  // closed, or lost the race for the freed slot
-        }
-
-        case BackpressurePolicy::kDeadlineShed: {
-            auto doomed = queue_->remove_if(
-                [&](const Request& r) { return deadline_unmeetable(r, now); });
-            for (Request& r : doomed) {
-                stats_->on_shed(r.policy);
-                MW_TRACE_INSTANT(obs::Phase::kComplete, r.id, now, "shed-deadline");
-                r.complete(make_status_response(RequestStatus::kShedDeadline));
-            }
-            if (queue_->try_push(request)) {
-                stats_->on_admitted(request.policy);
-                MW_TRACE_INSTANT(obs::Phase::kAdmit, request.id, now, "admitted");
-                return true;
-            }
-            break;  // nothing sheddable: every queued request is still viable
-        }
-    }
-
-    stats_->on_rejected_full(request.policy);
-    MW_TRACE_INSTANT(obs::Phase::kAdmit, request.id, now, "rejected-full");
-    MW_TRACE_INSTANT(obs::Phase::kComplete, request.id, now, "rejected-full");
-    request.complete(make_status_response(RequestStatus::kRejectedFull));
-    return false;
-}
-
-void AdmissionController::observe_execute(const std::string& model_name,
+void AdmissionController::observe_execute(std::string_view model_name,
                                           double execute_s) {
     const MutexLock lock(mutex_);
-    auto [it, inserted] = execute_ewma_.try_emplace(model_name, config_.ewma_alpha);
+    auto it = execute_ewma_.find(model_name);
+    if (it == execute_ewma_.end()) {
+        it = execute_ewma_.emplace(std::string(model_name), Ewma(config_.ewma_alpha)).first;
+    }
     it->second.add(execute_s);
 }
 
-double AdmissionController::estimated_execute_s(const std::string& model_name) const {
-    {
-        const MutexLock lock(mutex_);
-        const auto it = execute_ewma_.find(model_name);
-        if (it != execute_ewma_.end() && !it->second.empty()) {
-            return it->second.value();
-        }
-    }
+double AdmissionController::estimated_execute_s(std::string_view model_name) const {
+    const MutexLock lock(mutex_);
+    const auto it = execute_ewma_.find(model_name);
+    if (it != execute_ewma_.end() && !it->second.empty()) return it->second.value();
     // Cold model: unknown, not free. Returning 0 here made kDeadlineShed blind
     // to cold models — no request could ever be hopeless on arrival until the
-    // EWMA warmed up. The predictor hook runs outside the EWMA lock.
-    if (config_.cold_prior_fn) {
-        const double prior = config_.cold_prior_fn(model_name);
-        if (prior > 0.0) return prior;
-    }
+    // EWMA warmed up.
     return config_.cold_execute_prior_s;
 }
 
-bool AdmissionController::deadline_unmeetable(const Request& request, double now) const {
-    if (request.slo_s <= 0.0) return false;
-    const double waited = now - request.arrival_s;
-    const double remaining = request.slo_s - waited;
+bool AdmissionController::deadline_unmeetable(std::string_view model_name, double slo_s,
+                                              double arrival_s, double now) const {
+    if (slo_s <= 0.0) return false;
+    const double remaining = slo_s - (now - arrival_s);
     if (remaining <= 0.0) return true;
-    return estimated_execute_s(request.model_name) > remaining;
+    return estimated_execute_s(model_name) > remaining;
 }
 
 }  // namespace mw::serve

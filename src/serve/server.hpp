@@ -1,19 +1,22 @@
 // Server: the concurrent serving front-end. Clients submit() payload-carrying
-// requests and receive futures; N worker threads (on an owned ThreadPool)
-// drain the bounded queue through the BatchAggregator, consult the paper's
-// OnlineScheduler for a device, execute via Dispatcher::run_on, and complete
-// the futures. Admission control sheds load explicitly when the queue fills,
-// so offered load beyond saturation degrades into rejections instead of
-// unbounded latency.
+// requests and receive futures, or submit_ticket() and poll pooled tickets.
+// Either way the request rides a RequestPool node through one sharded
+// lock-free queue; N worker threads (on an owned ThreadPool) gather
+// same-model batches, decide a device against an epoch-pinned scheduler
+// snapshot, execute via Dispatcher::run_on, and publish the responses.
+// Backpressure sheds explicitly when the queue fills, so offered load beyond
+// saturation degrades into rejections instead of unbounded latency.
 //
 // Time is injected (mw::Clock): benches and demos pass a WallClock, tests a
 // ManualClock — serve code itself never reads a wall clock (enforced by
-// mw-lint's `wall-clock-in-serve` rule). The clock's "now" doubles as the
+// mw-analyze's clock-confinement check). The clock's "now" doubles as the
 // simulated timestamp handed to the scheduler and the device layer.
 //
-// Thread safety: submit(), stats(), queue_depth() may be called from any
-// thread while the server runs. The OnlineScheduler is not internally
-// synchronised, so the server serialises decide() behind a mutex — callers
+// Thread safety: submit(), submit_ticket(), try_result(), release(),
+// stats() and queue_depth() may be called from any thread while the server
+// runs. The OnlineScheduler is not internally synchronised, so the server
+// serialises its own calls into it (snapshot rebuilds, and decide() on the
+// resilient and not-yet-snapshotted-model routes) behind a mutex — callers
 // must not drive the same scheduler (submit/run/retrain) concurrently from
 // outside while the server is running.
 #pragma once
@@ -35,9 +38,7 @@
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/admission.hpp"
-#include "serve/batcher.hpp"
 #include "serve/request_pool.hpp"
-#include "serve/request_queue.hpp"
 #include "serve/sharded_queue.hpp"
 #include "serve/stats.hpp"
 
@@ -59,13 +60,20 @@ struct ResilienceConfig {
     double hedge_timeout_s = 0.0;
 };
 
-/// Lock-free hot-path knobs (DESIGN.md §15). The hot path activates when
-/// `enabled` AND the admission policy is kRejectNewest — the eviction-based
-/// policies (kRejectOldest, kDeadlineShed) need to reach into the queue's
-/// middle, which rings cannot do, so those configurations keep the legacy
-/// mutexed RequestQueue automatically.
-struct HotPathConfig {
+/// Dynamic batching: a worker pops a leader request, then coalesces
+/// same-model/same-policy followers until the batch is full or a max-wait
+/// deadline passes on the injected clock. The paper treats batch size as a
+/// scheduling *input*; batching makes it a server *output* — large coalesced
+/// batches are exactly where the iGPU/dGPU crossovers of Fig. 3 pay off.
+struct BatchConfig {
     bool enabled = true;
+    std::size_t max_requests = 16;    ///< coalesce at most this many requests
+    std::size_t max_samples = 16384;  ///< cap on total samples per batch
+    double max_wait_s = 0.002;        ///< extra time a leader waits for mates
+};
+
+/// Request-arena and per-worker amortisation knobs (DESIGN.md §15).
+struct HotPathConfig {
     /// HotRequest arena size; 0 sizes it from queue capacity + worker-held
     /// batches + slack. Exhaustion sheds (kRejectedFull), never allocates.
     std::size_t pool_capacity = 0;
@@ -74,11 +82,12 @@ struct HotPathConfig {
     std::size_t snapshot_refresh_batches = 64;
     /// Per-worker executed batches between stats-shard flushes into the
     /// shared registry. The default (1) flushes once per batch, before its
-    /// responses publish — stats() visibility matches the legacy path while
-    /// still collapsing per-request counter RMWs into per-batch ones.
-    /// Larger values amortise further (the contention bench uses this), at
-    /// the cost of deltas staying invisible to snapshots until the next
-    /// flush; totals are exact after stop() either way.
+    /// responses publish, so a client that has seen its response also sees
+    /// the batch in stats(), while per-request counter RMWs still collapse
+    /// into per-batch ones. Larger values amortise further (the contention
+    /// bench uses this), at the cost of deltas staying invisible to
+    /// snapshots until the next flush; totals are exact after stop() either
+    /// way.
     std::size_t stats_flush_batches = 1;
 };
 
@@ -91,8 +100,6 @@ struct ServerConfig {
     /// Finish everything queued before stop() returns; false completes
     /// still-queued requests with RequestStatus::kShutdown instead.
     bool drain_on_stop = true;
-    /// Idle worker re-check period, real time (queue-pop timeout slice).
-    double worker_poll_s = 0.01;
     /// Start workers in the constructor. Tests set this false to stage a
     /// queue deterministically before any worker runs, then call start().
     bool start_on_construction = true;
@@ -115,9 +122,11 @@ public:
     Server& operator=(const Server&) = delete;
 
     /// Hand a request to the server; the future resolves with the outcome
-    /// (kCompleted with outputs, or a rejection/shed/shutdown status).
-    /// Payload must be rank-2 (samples, sample_elems); the model must be
-    /// registered with the Dispatcher and deployed.
+    /// (kCompleted with outputs, or a rejection/evicted/shed/shutdown
+    /// status). Payload must be rank-2 (samples, sample_elems); the model
+    /// must be registered with the Dispatcher and deployed. Same admission
+    /// as submit_ticket(); the promise allocates, so the zero-allocation
+    /// contract is the ticket API's.
     std::future<Response> submit(InferenceRequest request);
 
     /// What submit_ticket() resolved to at admission time.
@@ -127,11 +136,10 @@ public:
         Ticket ticket;  ///< valid when admitted
     };
 
-    /// Zero-allocation submission (hot path only; requires the lock-free
-    /// path to be active, see HotPathConfig). The payload is copied into a
-    /// pooled arena node; poll try_result() for completion and release()
-    /// the ticket when done with the response. Steady state performs no
-    /// heap allocation from submit to release.
+    /// Zero-allocation submission. The payload is copied into a pooled
+    /// arena node; poll try_result() for completion and release() the
+    /// ticket when done with the response. Steady state performs no heap
+    /// allocation from submit to release.
     [[nodiscard]] SubmitOutcome submit_ticket(std::string_view model_name,
                                               std::span<const float> payload,
                                               std::size_t samples,
@@ -147,17 +155,15 @@ public:
     /// admitted ticket, after try_result() returned true.
     void release(const Ticket& ticket);
 
-    /// True when the lock-free hot path is active (see HotPathConfig).
-    [[nodiscard]] bool hot_path_active() const { return hot_active_; }
+    /// Always true: every configuration serves through the sharded rings.
+    /// Kept only because the repository benchmark (perfbench) still asserts
+    /// it before driving the ticket API.
+    [[nodiscard]] bool hot_path_active() const { return true; }
 
-    /// Arena occupancy (hot path only; 0 otherwise) — the arena-stats test
-    /// asserts steady state never exhausts or grows the pool.
-    [[nodiscard]] std::size_t pool_live() const {
-        return request_pool_ ? request_pool_->live() : 0;
-    }
-    [[nodiscard]] std::size_t pool_capacity() const {
-        return request_pool_ ? request_pool_->capacity() : 0;
-    }
+    /// Arena occupancy — the arena-stats test asserts steady state never
+    /// exhausts or grows the pool.
+    [[nodiscard]] std::size_t pool_live() const { return request_pool_.live(); }
+    [[nodiscard]] std::size_t pool_capacity() const { return request_pool_.capacity(); }
 
     /// Outcome of one DAG execution through the serving tier.
     struct GraphRunResult {
@@ -182,10 +188,10 @@ public:
         return running_.load(std::memory_order_acquire);
     }
     [[nodiscard]] double now() const { return clock_->now(); }
+    /// Queued requests, including those a worker popped past while
+    /// gathering a batch (still waiting, just not in a ring).
     [[nodiscard]] std::size_t queue_depth() const {
-        return hot_active_
-                   ? hot_queue_->size() + stashed_total_.load(std::memory_order_acquire)
-                   : queue_.size();
+        return queue_.size() + stashed_total_.load(std::memory_order_acquire);
     }
     [[nodiscard]] const ServerConfig& config() const { return config_; }
 
@@ -214,19 +220,30 @@ private:
         bool hedged = false;       ///< a duplicate hedge dispatch was issued
     };
 
-    void worker_loop();
-    void execute_batch(PendingBatch batch);
+    /// The one admission routine behind submit() and submit_ticket(): count
+    /// and trace the submission, apply the backpressure policy, and push a
+    /// pool node carrying the request. `promise` (submit() only) moves into
+    /// the node on admission and is completed here on refusal; without one
+    /// the node carries the response for a ticket.
+    SubmitOutcome admit(std::string_view model_name, std::span<const float> payload,
+                        std::size_t samples, sched::Policy policy, double slo_s,
+                        std::promise<Response>* promise);
+    /// kRejectOldest: free one queue slot by completing a queued node
+    /// kEvicted, using the pops a worker uses (the newcomer's shard, from
+    /// its lane on, then a steal). Evicts nothing when every ring it probed
+    /// was empty.
+    void evict_one(std::size_t shard, std::size_t lane);
 
-    // --- lock-free hot path (server.cpp) ---
-    struct HotWorker;  ///< per-worker state: stash, scratch, stats shards
-    void hot_worker_loop(std::size_t worker_index);
-    HotRequest* hot_next_leader(HotWorker& w);
-    void hot_gather(HotWorker& w, HotRequest* leader);
-    void hot_execute(HotWorker& w);
-    void hot_complete_terminal(HotRequest* node, RequestStatus status,
-                               const char* error = nullptr);
-    void hot_flush_if_due(HotWorker& w);
-    void hot_refresh_snapshot();
+    struct Worker;  ///< per-worker state: stash, scratch, stats shards
+    void worker_loop(std::size_t worker_index);
+    HotRequest* next_leader(Worker& w);
+    void gather(Worker& w, HotRequest* leader);
+    void shed_unmeetable(Worker& w, double dispatch_now);
+    void execute(Worker& w, double dispatch_now);
+    void complete_terminal(HotRequest* node, RequestStatus status,
+                           const char* error = nullptr);
+    void flush_if_due(Worker& w);
+    void refresh_snapshot();
 
     /// The resilient dispatch path: health-partition the devices, decide
     /// with exclusions, retry across candidates, hedge stragglers. May throw
@@ -250,15 +267,11 @@ private:
         obs::Gauge& spill_seconds;
     };
     GraphMetrics graph_metrics_;
-    RequestQueue queue_;
     AdmissionController admission_;
-    BatchAggregator batcher_;
     std::unique_ptr<fault::DeviceHealthTracker> health_;  ///< resilience only
 
-    // Lock-free hot path (null when inactive; see HotPathConfig).
-    bool hot_active_ = false;
-    std::unique_ptr<RequestPool> request_pool_;
-    std::unique_ptr<ShardedRequestQueue> hot_queue_;
+    RequestPool request_pool_;
+    ShardedRequestQueue queue_;
     std::unique_ptr<EpochCell<sched::SchedulerSnapshot>> snapshot_cell_;
     Atomic<std::size_t> submit_shard_{0};    ///< round-robin scatter cursor
     Atomic<bool> snapshot_claim_{false};     ///< one refresher at a time
@@ -269,6 +282,7 @@ private:
     Atomic<std::size_t> inflight_{0};
     Atomic<bool> running_{false};
     Atomic<bool> stopped_{false};
+    Atomic<std::size_t> admitting_{0};  ///< admit() calls in flight (stop() waits them out)
 
     std::unique_ptr<ThreadPool> pool_;
     std::vector<std::future<void>> workers_;

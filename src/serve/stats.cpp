@@ -81,32 +81,6 @@ void ServerStats::on_shutdown(sched::Policy policy) {
     lanes_[lane_of(policy)].shutdown->inc();
 }
 
-void ServerStats::on_failed(sched::Policy policy) {
-    lanes_[lane_of(policy)].failed->inc();
-}
-
-void ServerStats::on_batch_executed(sched::Policy policy,
-                                    std::size_t coalesced_requests) {
-    Lane& lane = lanes_[lane_of(policy)];
-    lane.batches_executed->inc();
-    lane.coalesced_requests->inc(coalesced_requests);
-}
-
-void ServerStats::on_completed(sched::Policy policy, double queue_s, double execute_s,
-                               std::size_t samples, double bytes_in, double energy_j,
-                               std::size_t coalesced) {
-    Lane& lane = lanes_[lane_of(policy)];
-    lane.completed->inc();
-    lane.samples->add(static_cast<double>(samples));
-    lane.bytes_in->add(bytes_in);
-    lane.energy_j->add(energy_j);
-    lane.queue_hist->add(queue_s);
-    // One histogram entry per request, so tail percentiles reflect what
-    // clients saw (a slow coalesced batch hurts every member).
-    lane.execute_hist->add(execute_s);
-    (void)coalesced;
-}
-
 ServerSnapshot ServerStats::snapshot() const {
     ServerSnapshot snap;
     for (std::size_t i = 0; i < kPolicyLanes; ++i) {

@@ -80,22 +80,17 @@ public:
     void on_evicted(sched::Policy policy);
     void on_shed(sched::Policy policy);
     void on_shutdown(sched::Policy policy);
-    void on_failed(sched::Policy policy);
-    void on_batch_executed(sched::Policy policy, std::size_t coalesced_requests);
-    void on_completed(sched::Policy policy, double queue_s, double execute_s,
-                      std::size_t samples, double bytes_in, double energy_j,
-                      std::size_t coalesced);
 
     /// Stable handles to one lane's worker-side series, for per-worker
-    /// batching shards (obs::CounterShard / obs::GaugeShard): the lock-free
-    /// hot path accumulates locally and flushes these periodically instead
-    /// of touching the shared cache lines per request. Submit-side series
-    /// (submitted/admitted/rejected/evicted) stay on the direct on_* calls.
+    /// batching shards (obs::CounterShard / obs::GaugeShard): workers
+    /// accumulate locally and flush these periodically instead of touching
+    /// the shared cache lines per request. Admission-side outcomes
+    /// (submitted, admitted, rejected, evicted, shed on arrival, shutdown)
+    /// stay on the direct on_* calls.
     struct WorkerSeries {
         obs::Counter* completed;
         obs::Counter* failed;
         obs::Counter* shed;
-        obs::Counter* shutdown;
         obs::Counter* batches_executed;
         obs::Counter* coalesced_requests;
         obs::Gauge* samples;
@@ -106,10 +101,10 @@ public:
     };
     [[nodiscard]] WorkerSeries worker_series(sched::Policy policy) {
         Lane& lane = lanes_[lane_of(policy)];
-        return {lane.completed,        lane.failed,    lane.shed,
-                lane.shutdown,         lane.batches_executed,
-                lane.coalesced_requests, lane.samples, lane.bytes_in,
-                lane.energy_j,         lane.queue_hist, lane.execute_hist};
+        return {lane.completed,          lane.failed,  lane.shed,
+                lane.batches_executed,   lane.coalesced_requests,
+                lane.samples,            lane.bytes_in, lane.energy_j,
+                lane.queue_hist,         lane.execute_hist};
     }
 
     /// Counters + percentiles. Queue-depth gauges are filled in by the

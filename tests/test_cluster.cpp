@@ -392,7 +392,6 @@ serve::ServerConfig test_server_config() {
     serve::ServerConfig config;
     config.workers = 1;
     config.queue_capacity = 256;
-    config.worker_poll_s = 0.0005;
     return config;
 }
 
@@ -634,15 +633,15 @@ TEST(ClusterServing, MetricsRegistryCarriesClusterSeries) {
 
 TEST(ClusterLockRankDeathTest, ServeThenClusterNodeAbortsNamingBothRanks) {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    Mutex queue_mu(LockRank::kServeQueue);
+    Mutex admission_mu(LockRank::kAdmission);
     Mutex node_mu(LockRank::kClusterNode);
     EXPECT_DEATH(
         {
-            const MutexLock queue(queue_mu);
+            const MutexLock admission(admission_mu);
             const MutexLock node(node_mu);
         },
         "lock-rank violation: acquiring .cluster-node. .rank 6. "
-        "while already holding .serve-queue. .rank 50.");
+        "while already holding .admission. .rank 60.");
 }
 
 TEST(ClusterLockRankDeathTest, TransportThenRouterAbortsNamingBothRanks) {

@@ -106,7 +106,6 @@ struct PartitionWorld {
             node_config.name = "node" + std::to_string(i);
             node_config.server.workers = 1;
             node_config.server.queue_capacity = 512;
-            node_config.server.worker_poll_s = 0.0005;
             node_config.completion_poll_s = 0.0005;
             nodes.push_back(std::make_unique<cluster::Node>(
                 node_config, chaos_bundle(), clock, *transport));

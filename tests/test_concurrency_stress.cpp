@@ -1,12 +1,14 @@
 // Concurrency stress suite. Designed to run under ThreadSanitizer (the
 // `tsan` preset): every test hammers a shared component from many threads so
-// that races in ThreadPool, Device, DeviceRegistry, or Dispatcher surface as
-// sanitizer reports instead of silently corrupted measurements.
+// that races in ThreadPool, Device, DeviceRegistry, Dispatcher, or the
+// serving rings surface as sanitizer reports instead of silently corrupted
+// measurements.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,10 +19,13 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "device/registry.hpp"
+#include "ml/random_forest.hpp"
 #include "nn/model_builder.hpp"
 #include "nn/zoo.hpp"
 #include "sched/dispatcher.hpp"
-#include "serve/request_queue.hpp"
+#include "sched/scheduler.hpp"
+#include "sched/scheduler_dataset.hpp"
+#include "serve/server.hpp"
 #include "workload/stream.hpp"
 
 namespace {
@@ -484,123 +489,115 @@ TEST(InputSourceStress, FileSourceConcurrentReaders) {
 }
 
 // ---------------------------------------------------------------------------
-// serve::RequestQueue under producer/consumer fire
+// serve::Server rings under producer/worker fire (reject-oldest: producers
+// evict lane heads while workers pop and steal the same rings)
 // ---------------------------------------------------------------------------
 
 namespace {
-serve::Request stress_request(std::uint64_t id) {
-    serve::Request r;
-    r.id = id;
-    r.model_name = "simple";
-    r.samples = 1;
-    r.policy = static_cast<sched::Policy>(id % serve::kPolicyLanes);
-    r.arrival_s = static_cast<double>(id);
-    return r;
+
+struct ServeStressWorld {
+    DeviceRegistry registry = DeviceRegistry::standard_testbed();
+    sched::Dispatcher dispatcher{registry};
+    std::unique_ptr<sched::OnlineScheduler> scheduler;
+
+    ServeStressWorld() {
+        dispatcher.register_model(nn::zoo::simple(), 7);
+        dispatcher.deploy_all();
+        const auto dataset = sched::build_scheduler_dataset(
+            registry, {nn::zoo::simple()}, {.batches = {1, 4, 16}});
+        sched::DevicePredictor predictor(
+            std::make_unique<ml::RandomForest>(ml::ForestConfig{.n_estimators = 8, .seed = 3}),
+            dataset.device_names);
+        predictor.fit(dataset);
+        scheduler = std::make_unique<sched::OnlineScheduler>(
+            dispatcher, std::move(predictor), dataset,
+            sched::SchedulerConfig{.explore_probability = 0.0});
+    }
+};
+
+serve::ServerConfig reject_oldest_config() {
+    serve::ServerConfig config;
+    config.workers = 4;
+    config.queue_capacity = 8;
+    config.admission.policy = serve::BackpressurePolicy::kRejectOldest;
+    config.batching.max_wait_s = 0.0;  // dispatch eagerly: keep workers popping
+    return config;
 }
+
+/// Submit `count` requests from `producers` threads as fast as possible,
+/// policies rotating across lanes, and tally every future's outcome.
+std::map<serve::RequestStatus, std::size_t> hammer(serve::Server& server,
+                                                   std::size_t producers,
+                                                   std::size_t per_producer) {
+    std::vector<std::vector<std::future<serve::Response>>> futures(producers);
+    std::vector<std::thread> threads;
+    threads.reserve(producers);
+    for (std::size_t p = 0; p < producers; ++p) {
+        threads.emplace_back([&, p] {
+            workload::SyntheticSource source(40 + p);
+            futures[p].reserve(per_producer);
+            for (std::size_t i = 0; i < per_producer; ++i) {
+                futures[p].push_back(server.submit(serve::InferenceRequest{
+                    "simple", source.next_batch(1, 4),
+                    static_cast<sched::Policy>((p + i) % serve::kPolicyLanes)}));
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
+    std::map<serve::RequestStatus, std::size_t> outcomes;
+    for (auto& per_producer_futures : futures) {
+        for (auto& f : per_producer_futures) outcomes[f.get().status] += 1;
+    }
+    return outcomes;
+}
+
 }  // namespace
 
-TEST(RequestQueueStress, ProducerConsumerHammerAccountsEveryRequest) {
-    serve::RequestQueue queue(32);
+TEST(ServerStress, RejectOldestHammerAccountsEveryRequest) {
+    ServeStressWorld world;
+    WallClock clock;
+    serve::Server server(*world.scheduler, world.dispatcher, clock,
+                         reject_oldest_config());
     constexpr std::size_t kProducers = 4;
-    constexpr std::size_t kConsumers = 4;
-    constexpr std::size_t kPerProducer = 600;
+    constexpr std::size_t kPerProducer = 400;
+    auto outcomes = hammer(server, kProducers, kPerProducer);
+    server.stop();
 
-    std::atomic<std::size_t> pushed{0};
-    std::atomic<std::size_t> rejected{0};
-    std::atomic<std::size_t> popped{0};
-    std::atomic<std::size_t> producers_done{0};
-
-    std::vector<std::thread> threads;
-    threads.reserve(kProducers + kConsumers);
-    for (std::size_t p = 0; p < kProducers; ++p) {
-        threads.emplace_back([&, p] {
-            for (std::size_t i = 0; i < kPerProducer; ++i) {
-                serve::Request r = stress_request(p * kPerProducer + i);
-                if (queue.try_push(r)) {
-                    pushed.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                    // Full-queue rejection is the expected overload outcome;
-                    // the request must come back intact to be completed.
-                    ASSERT_EQ(r.id, p * kPerProducer + i);
-                    rejected.fetch_add(1, std::memory_order_relaxed);
-                }
-            }
-            producers_done.fetch_add(1, std::memory_order_release);
-        });
-    }
-    for (std::size_t c = 0; c < kConsumers; ++c) {
-        threads.emplace_back([&] {
-            while (true) {
-                if (auto r = queue.pop(0.002)) {
-                    popped.fetch_add(1, std::memory_order_relaxed);
-                } else if (producers_done.load(std::memory_order_acquire) == kProducers &&
-                           queue.empty()) {
-                    break;
-                }
-            }
-        });
-    }
-    for (auto& t : threads) t.join();
-
-    EXPECT_EQ(pushed.load() + rejected.load(), kProducers * kPerProducer);
-    EXPECT_EQ(popped.load(), pushed.load());
-    EXPECT_GT(rejected.load(), 0U) << "a 32-slot queue under 2400 pushes must overflow";
-    EXPECT_TRUE(queue.empty());
+    const auto t = server.stats().totals();
+    EXPECT_EQ(t.submitted, kProducers * kPerProducer);
+    EXPECT_EQ(t.completed + t.evicted + t.rejected_full, t.submitted)
+        << "every request completes, is evicted, or is refused — exactly once";
+    EXPECT_EQ(outcomes[serve::RequestStatus::kCompleted], t.completed);
+    EXPECT_EQ(outcomes[serve::RequestStatus::kEvicted], t.evicted);
+    EXPECT_EQ(outcomes[serve::RequestStatus::kRejectedFull], t.rejected_full);
+    EXPECT_EQ(t.admitted, t.completed + t.evicted);
+    EXPECT_GT(t.evicted, 0U) << "an 8-slot queue under 1600 pushes must evict";
+    EXPECT_EQ(server.queue_depth(), 0U);
+    EXPECT_EQ(server.pool_live(), 0U) << "every node returned to the arena";
 }
 
-TEST(RequestQueueStress, CloseWakesBlockedConsumers) {
-    serve::RequestQueue queue(8);
-    constexpr std::size_t kWaiters = 4;
-    std::atomic<std::size_t> woke_empty{0};
-    std::vector<std::thread> waiters;
-    waiters.reserve(kWaiters);
-    for (std::size_t t = 0; t < kWaiters; ++t) {
-        waiters.emplace_back([&] {
-            // Generous timeout: only close() can end this wait promptly.
-            if (!queue.pop(30.0).has_value()) {
-                woke_empty.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    sleep_for_seconds(0.05);  // let the waiters block
-    queue.close();
-    for (auto& w : waiters) w.join();
-    EXPECT_EQ(woke_empty.load(), kWaiters);
-    EXPECT_TRUE(queue.closed());
-}
-
-TEST(RequestQueueStress, ConcurrentCloseWithTraffic) {
-    serve::RequestQueue queue(16);
-    std::atomic<std::size_t> handled{0};
-    std::vector<std::thread> threads;
-    threads.reserve(7);
-    for (int p = 0; p < 2; ++p) {
-        threads.emplace_back([&, p] {
-            for (std::uint64_t i = 0; i < 400; ++i) {
-                serve::Request r = stress_request(static_cast<std::uint64_t>(p) * 400 + i);
-                if (queue.try_push(r)) handled.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    for (int c = 0; c < 2; ++c) {
-        threads.emplace_back([&] {
-            while (true) {
-                if (auto r = queue.pop(0.001)) continue;
-                if (queue.closed() && queue.empty()) break;
-            }
-        });
-    }
+TEST(ServerStress, ConcurrentStopWithTraffic) {
+    ServeStressWorld world;
+    WallClock clock;
+    serve::Server server(*world.scheduler, world.dispatcher, clock,
+                         reject_oldest_config());
+    std::vector<std::thread> stoppers;
+    stoppers.reserve(3);
     for (int k = 0; k < 3; ++k) {
-        threads.emplace_back([&] {
+        stoppers.emplace_back([&] {
             sleep_for_seconds(0.01);
-            queue.close();  // racing closers must be idempotent
+            server.stop();  // racing stoppers must be idempotent
         });
     }
-    for (auto& t : threads) t.join();
-    EXPECT_TRUE(queue.closed());
-    EXPECT_TRUE(queue.empty());
-    serve::Request late = stress_request(9999);
-    EXPECT_FALSE(queue.try_push(late));
+    auto outcomes = hammer(server, 2, 400);
+    for (auto& t : stoppers) t.join();
+
+    const auto t = server.stats().totals();
+    EXPECT_EQ(t.submitted, 800U);
+    EXPECT_EQ(t.completed + t.evicted + t.rejected_full + t.shutdown, t.submitted);
+    EXPECT_EQ(outcomes[serve::RequestStatus::kShutdown], t.shutdown);
+    EXPECT_FALSE(server.running());
+    EXPECT_EQ(server.queue_depth(), 0U);
 }
 
 // ---------------------------------------------------------------------------
@@ -612,7 +609,7 @@ TEST(LockRankValidator, RankNamesAreStable) {
     EXPECT_STREQ(lock_rank_name(LockRank::kRegistry), "registry");
     EXPECT_STREQ(lock_rank_name(LockRank::kDispatcher), "dispatcher");
     EXPECT_STREQ(lock_rank_name(LockRank::kDevice), "device");
-    EXPECT_STREQ(lock_rank_name(LockRank::kServeQueue), "serve-queue");
+    EXPECT_STREQ(lock_rank_name(LockRank::kFaultHealth), "fault-health");
     EXPECT_STREQ(lock_rank_name(LockRank::kAdmission), "admission");
     EXPECT_STREQ(lock_rank_name(LockRank::kStats), "stats");
     EXPECT_STREQ(lock_rank_name(LockRank::kLogger), "logger");

@@ -77,8 +77,9 @@ std::vector<graph::PlannerDevice> random_testbed(Rng& rng) {
     return picked;
 }
 
-TEST(GraphChaos, RandomDagsOnPerturbedTestbedsAlwaysVerify) {
-    const std::uint64_t seed = chaos_seed();
+/// One storm: 60 random DAGs, each planned (DAG and monolithic) on its own
+/// random testbed and replayed through the verifier.
+void plan_storm(std::uint64_t seed) {
     SCOPED_TRACE("MW_CHAOS_SEED=" + std::to_string(seed));
     Rng rng(seed);
     const graph::GraphPlanner planner;
@@ -109,6 +110,17 @@ TEST(GraphChaos, RandomDagsOnPerturbedTestbedsAlwaysVerify) {
     }
     // The storm must actually exercise the planner, not just skip.
     EXPECT_GT(planned, 30U) << "skipped " << skipped << " infeasible testbeds";
+}
+
+TEST(GraphChaos, RandomDagsOnPerturbedTestbedsAlwaysVerify) { plan_storm(chaos_seed()); }
+
+TEST(GraphChaos, StoresToUnplacedConsumersCoverAFasterLink) {
+    // Regression: the planner priced a store to a not-yet-placed consumer at
+    // the link rate. These storms perturb a device's PCIe link above its own
+    // memory bandwidth; the consumer then landed on the same device, and the
+    // verifier's local-rate minimum exceeded the planned store phase.
+    plan_storm(5);
+    plan_storm(6);
 }
 
 TEST(GraphChaos, RoundTripThroughTextFormatIsLossless) {

@@ -1,7 +1,8 @@
 // Model-check suite: runs the mw::mc schedule explorer against the repo's
-// lock-free protocols (SPSC ring, the hot path's MPMC steal ring and epoch
-// snapshot cell, breaker half-open gate, server lifecycle flags, trace span
-// ring) plus the mutation proofs the checker exists for — rings/cells with
+// lock-free protocols (SPSC ring; the serving path's MPMC steal ring,
+// sharded-queue eviction and epoch snapshot cell; breaker half-open gate,
+// server lifecycle flags, trace span ring) plus the mutation proofs the
+// checker exists for — rings/cells/queues with
 // weakened memory orders and a probe gate with its CAS replaced by
 // check-then-act must ALL be caught, with schedules that replay
 // deterministically, while the unmutated protocols exhaust cleanly.
@@ -36,6 +37,7 @@
 #include "fault/health.hpp"
 #include "mc/mc.hpp"
 #include "obs/trace.hpp"
+#include "serve/sharded_queue.hpp"
 
 namespace {
 
@@ -204,6 +206,106 @@ TEST(McMpmcRing, RelaxedOrderMutationIsCaughtAndReplays) {
     ASSERT_FALSE(r.failing_trace.empty());
 
     const Result again = mw::mc::replay(exhaustive(), r, mpmc_steal_body_relaxed);
+    ASSERT_TRUE(again.failed);
+    EXPECT_NE(again.message.find("data race"), std::string::npos) << again.message;
+    EXPECT_EQ(again.failing_trace, r.failing_trace);
+}
+
+// ---------------------------------------------------------------------------
+// Sharded request queue: reject-oldest eviction racing a worker's pop
+// ---------------------------------------------------------------------------
+
+/// A producer fills a capacity-2 lane, evicts the lane head with the pop a
+/// worker uses (the Server's reject-oldest eviction), then pushes a
+/// newcomer, while a worker pops the same lane. Consumer attempts are
+/// bounded for the step-budget reason above. Invariants: every value ends up
+/// exactly once in {evicted, consumed, still queued, refused} — a head
+/// claimed by both the evicting producer and the worker shows up as a
+/// duplicate; and at quiescence the global capacity counter equals ring
+/// occupancy, so eviction neither leaks nor double-frees a capacity slot.
+///
+/// The newcomer can be refused although the counter had room: the lane ring
+/// holds exactly the capacity, so the newcomer's push laps onto the slot of
+/// the old head, and if the worker has claimed that head but not yet
+/// released its slot, the ring reports full (the checker found this). The
+/// Server then refuses the newcomer kRejectedFull, accounted like any other
+/// refusal. Only a racing pop can cause it, so a refusal implies the worker
+/// consumed something.
+template <typename Queue>
+void evict_vs_pop_body(Sim& sim) {
+    struct State {
+        Queue queue{1, 2};
+        std::array<mw::serve::HotRequest, 3> nodes;
+        std::vector<std::uint64_t> evicted, consumed;
+        bool refused = false;
+    };
+    auto st = std::make_shared<State>();
+    for (std::size_t i = 0; i < st->nodes.size(); ++i) st->nodes[i].id = i + 1;
+    constexpr std::size_t kLane = 0;  // every node is kMaxThroughput
+    sim.thread([st] {
+        MC_ASSERT_MSG(st->queue.try_push(0, &st->nodes[0]) &&
+                          st->queue.try_push(0, &st->nodes[1]),
+                      "push failed with free capacity");
+        if (mw::serve::HotRequest* victim = st->queue.pop_lane(0, kLane)) {
+            st->evicted.push_back(victim->id);
+        }
+        st->refused = !st->queue.try_push(0, &st->nodes[2]);
+    });
+    sim.thread([st] {
+        for (int attempt = 0; attempt < 3; ++attempt) {
+            if (mw::serve::HotRequest* node = st->queue.pop_lane(0, kLane)) {
+                st->consumed.push_back(node->id);
+            }
+        }
+    });
+    sim.join_all();
+    MC_ASSERT_MSG(st->queue.size() ==
+                      st->queue.lane_size(mw::sched::Policy::kMaxThroughput),
+                  "capacity counter disagrees with ring occupancy");
+    std::array<int, 4> seen{};
+    const auto count = [&seen](std::uint64_t id) {
+        MC_ASSERT_MSG(id >= 1 && id <= 3, "popped a value never pushed");
+        seen[id] += 1;
+    };
+    for (const std::uint64_t id : st->evicted) count(id);
+    for (const std::uint64_t id : st->consumed) count(id);
+    for (const mw::serve::HotRequest* node : st->queue.drain()) count(node->id);
+    if (st->refused) {
+        count(3);
+        MC_ASSERT_MSG(!st->consumed.empty(), "newcomer refused with no pop racing it");
+    }
+    MC_ASSERT_MSG(seen[1] == 1 && seen[2] == 1 && seen[3] == 1,
+                  "evict vs pop lost or duplicated a request");
+}
+
+void evict_vs_pop_body_correct(Sim& sim) {
+    evict_vs_pop_body<mw::serve::ShardedRequestQueue>(sim);
+}
+
+/// The mutation: the lane rings' slot sequence numbers published/consumed
+/// relaxed, so the worker's payload read is unordered with the producer's
+/// write.
+using RelaxedShardedQueue =
+    mw::serve::BasicShardedRequestQueue<std::memory_order_relaxed,
+                                        std::memory_order_relaxed>;
+void evict_vs_pop_body_relaxed(Sim& sim) { evict_vs_pop_body<RelaxedShardedQueue>(sim); }
+
+TEST(McShardedQueue, EvictVsPopExhaustsWithAcquireRelease) {
+    const Result r = mw::mc::check(exhaustive(), evict_vs_pop_body_correct);
+    EXPECT_FALSE(r.failed) << r.message;
+    EXPECT_TRUE(r.exhausted) << "state space unexpectedly large: " << r.schedules;
+    EXPECT_GT(r.schedules, 1u);
+}
+
+TEST(McShardedQueue, RelaxedOrderMutationIsCaughtAndReplays) {
+    const Result r = mw::mc::check(exhaustive(), evict_vs_pop_body_relaxed);
+    ASSERT_TRUE(r.failed) << "weakened sharded queue escaped " << r.schedules
+                          << " schedules";
+    EXPECT_NE(r.message.find("data race"), std::string::npos) << r.message;
+    EXPECT_NE(r.message.find("MpmcRing slot"), std::string::npos) << r.message;
+    ASSERT_FALSE(r.failing_trace.empty());
+
+    const Result again = mw::mc::replay(exhaustive(), r, evict_vs_pop_body_relaxed);
     ASSERT_TRUE(again.failed);
     EXPECT_NE(again.message.find("data race"), std::string::npos) << again.message;
     EXPECT_EQ(again.failing_trace, r.failing_trace);
@@ -567,6 +669,7 @@ TEST(McNightly, RandomSweepOverAllProtocols) {
     const SweepBody bodies[] = {
         {"spsc_ring", spsc_body_correct},
         {"mpmc_steal", mpmc_steal_body_correct},
+        {"evict_vs_pop", evict_vs_pop_body_correct},
         {"epoch_cell", epoch_cell_body_correct},
         {"probe_gate_cas", probe_gate_body<true>},
         {"breaker_half_open", breaker_half_open_body},

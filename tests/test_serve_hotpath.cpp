@@ -351,30 +351,18 @@ TicketResult await_result(Server& server, const Ticket& ticket) {
     return result;
 }
 
-TEST(ServerHotPath, ActivationFollowsBackpressurePolicy) {
+TEST(ServerHotPath, EveryPolicyBuildsTheArena) {
     HotWorld world;
-    {
+    for (const BackpressurePolicy policy :
+         {BackpressurePolicy::kRejectNewest, BackpressurePolicy::kRejectOldest,
+          BackpressurePolicy::kDeadlineShed}) {
         ServerConfig config;
         config.start_on_construction = false;
+        config.admission.policy = policy;
         Server server(*world.scheduler, world.dispatcher, world.clock, config);
-        EXPECT_TRUE(server.hot_path_active()) << "kRejectNewest default goes hot";
-        EXPECT_GT(server.pool_capacity(), config.queue_capacity);
-    }
-    {
-        ServerConfig config;
-        config.start_on_construction = false;
-        config.admission.policy = BackpressurePolicy::kRejectOldest;
-        Server server(*world.scheduler, world.dispatcher, world.clock, config);
-        EXPECT_FALSE(server.hot_path_active())
-            << "eviction policies need the legacy queue";
-        EXPECT_EQ(server.pool_capacity(), 0U);
-    }
-    {
-        ServerConfig config;
-        config.start_on_construction = false;
-        config.hot_path.enabled = false;
-        Server server(*world.scheduler, world.dispatcher, world.clock, config);
-        EXPECT_FALSE(server.hot_path_active());
+        EXPECT_TRUE(server.hot_path_active()) << backpressure_name(policy);
+        EXPECT_GT(server.pool_capacity(), config.queue_capacity)
+            << backpressure_name(policy) << " serves through the pooled arena";
     }
 }
 
@@ -479,6 +467,41 @@ TEST(ServerHotPath, RejectsWhenArenaOrQueueIsFull) {
     EXPECT_EQ(totals.submitted, 3U);
     EXPECT_EQ(totals.rejected_full, 1U);
     EXPECT_EQ(totals.completed, 2U);
+}
+
+TEST(ServerHotPath, EvictedTicketResolvesEvicted) {
+    HotWorld world;
+    ServerConfig config;
+    config.workers = 1;
+    config.queue_capacity = 1;
+    config.admission.policy = BackpressurePolicy::kRejectOldest;
+    config.batching.enabled = false;
+    config.start_on_construction = false;
+    Server server(*world.scheduler, world.dispatcher, world.clock, config);
+
+    workload::SyntheticSource source(24);
+    const Tensor payload = source.next_batch(1, 4);
+    const std::span<const float> span(payload.data(), payload.numel());
+    const auto victim = server.submit_ticket("simple", span, 1,
+                                             sched::Policy::kMaxThroughput);
+    const auto newcomer = server.submit_ticket("simple", span, 1,
+                                               sched::Policy::kMaxThroughput);
+    ASSERT_TRUE(victim.admitted);
+    ASSERT_TRUE(newcomer.admitted);
+    TicketResult result;
+    ASSERT_TRUE(server.try_result(victim.ticket, result)) << "evicted at admission";
+    EXPECT_EQ(result.status, RequestStatus::kEvicted);
+    EXPECT_TRUE(result.outputs.empty());
+    server.release(victim.ticket);
+
+    server.start();
+    EXPECT_TRUE(await_result(server, newcomer.ticket).ok());
+    server.release(newcomer.ticket);
+    server.stop();
+    EXPECT_EQ(server.pool_live(), 0U);
+    const auto totals = server.stats().totals();
+    EXPECT_EQ(totals.evicted, 1U);
+    EXPECT_EQ(totals.completed, 1U);
 }
 
 TEST(ServerHotPath, MixedTicketAndFutureSubmittersAccountExactly) {
