@@ -78,7 +78,7 @@ int main() {
                 const serve::Response response = future.get();  // closed-loop client
                 if (!response.ok() && response.status != serve::RequestStatus::kShedDeadline) {
                     std::printf("unexpected outcome: %s %s\n",
-                                serve::status_name(response.status).c_str(),
+                                serve::status_label(response.status),
                                 response.error.c_str());
                 }
             }

@@ -284,7 +284,7 @@ void Router::handle_frame(const std::string& from, const Frame& frame) {
     response.hedged = packet.hedged;
     const double now = clock_->now();
     MW_TRACE_INSTANT(obs::Phase::kComplete, packet.id, now,
-                     status_name(packet.status).c_str());
+                     status_label(packet.status));
     complete(std::move(entry), std::move(response));
     (void)from;
 }
