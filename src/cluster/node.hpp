@@ -10,7 +10,7 @@
 // own forest from the shared dataset and profiles nothing.
 //
 // Clock domain: the node reads time only through the mw::Clock injected at
-// construction (mw-lint: wall-clock-in-cluster). Tests typically share one
+// construction (mw-analyze: clock-confinement). Tests typically share one
 // ManualClock between router and nodes; nothing requires that — a node with
 // its own clock just timestamps its spans on its own timeline.
 //

@@ -27,7 +27,7 @@
 // kClusterRouter, ordered before the transport and everything below it)
 // guards the pending table, placement, ring, and load gauges; promises are
 // completed with no lock held. Time is read only through the injected
-// mw::Clock (mw-lint: wall-clock-in-cluster).
+// mw::Clock (mw-analyze: clock-confinement).
 #pragma once
 
 #include <cstdint>

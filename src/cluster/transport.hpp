@@ -2,8 +2,8 @@
 // over per-link latency/bandwidth models. send() computes a delivery time on
 // the injected mw::Clock — max(now, link busy) + latency + bytes/bandwidth —
 // and queues the frame; delivery workers hand frames whose time has come to
-// the destination's handler. No wall clock is read anywhere (mw-lint:
-// wall-clock-in-cluster): tests and benches drive delivery by advancing a
+// the destination's handler. No wall clock is read anywhere (mw-analyze:
+// clock-confinement): tests and benches drive delivery by advancing a
 // ManualClock, so a "network" round trip is deterministic.
 //
 // The per-link busy_until models serialization on the wire: back-to-back

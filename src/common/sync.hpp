@@ -1,7 +1,7 @@
 // Synchronisation primitives with compile-time lock discipline.
 //
 // Every lock in the tree is one of the wrappers below, never a raw standard
-// primitive (mw-lint: raw-sync-primitive). The wrappers carry two layers of
+// primitive (mw-analyze: raw-sync-primitive). The wrappers carry two layers of
 // checking:
 //
 //  1. Clang Thread Safety Analysis capability attributes (the MW_* macros).
@@ -24,7 +24,7 @@
 // timeouts (so std::chrono stays confined to the two sanctioned conversion
 // points, common/timer.hpp and this header).
 //
-// Atomics carry the same discipline (mw-lint: raw-atomic): every atomic in
+// Atomics carry the same discipline (mw-analyze: raw-atomic): every atomic in
 // the tree is an mw::Atomic<T> / mw::AtomicFlag, never a raw std::atomic.
 // In normal builds the wrappers are zero-overhead passthroughs. Under
 // -DMW_MODEL_CHECK every wrapper operation (atomics AND lock acquisitions)
@@ -76,10 +76,11 @@
 
 namespace mw {
 
-// The wrapped standard primitives are named through this alias so that the
-// repo-wide textual ban on raw sync primitives (mw-lint raw-sync-primitive,
-// and the plain-grep audit it mirrors) stays clean even in this file — the
+// The wrapped standard primitives are named through this alias so that a
+// plain grep for raw sync primitives stays clean even in this file — the
 // wrappers below are the one sanctioned home of the standard types.
+// mw-analyze's raw-sync-primitive and raw-atomic rules match `stdsync::`
+// like `std::`, so the alias hides nothing outside this header.
 namespace stdsync = ::std;
 
 /// The repo's global lock order, smallest first. A thread may only acquire a
@@ -208,7 +209,7 @@ private:
 /// scheduling point and feeds the happens-before tracker, so the model
 /// checker both explores interleavings across it and verifies that the
 /// memory order written here really synchronizes what the code thinks it
-/// does. Raw std::atomic outside this header is an mw-lint error
+/// does. Raw std::atomic outside this header is an mw-analyze error
 /// (raw-atomic).
 template <typename T>
 class Atomic {

@@ -1,6 +1,6 @@
 // Monotonic wall-clock stopwatch plus the time plumbing shared by the
 // measurement harness, benches, and the serving layer. All raw std::chrono
-// access in src/ is confined to this header and common/sync.hpp (mw-lint:
+// access in src/ is confined to this header and common/sync.hpp (mw-analyze:
 // time-arith-confined); everything else deals in double seconds. Timed
 // condition waits live on mw::CondVar (common/sync.hpp), which keeps the
 // same double-seconds convention.
@@ -42,7 +42,8 @@ private:
 /// non-decreasing. Components that must run on both a real and a simulated
 /// timeline (the mw::serve layer in particular) take time ONLY through this
 /// interface — benches inject a WallClock, deterministic tests a ManualClock.
-/// mw-lint's `wall-clock-in-serve` rule enforces the discipline.
+/// mw-analyze's `clock-confinement` rule enforces the discipline in the
+/// serve, obs, fault, cluster and graph tiers.
 class Clock {
 public:
     virtual ~Clock() = default;

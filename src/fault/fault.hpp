@@ -10,7 +10,7 @@
 // latency factor. Every draw comes from a per-device deterministic RNG
 // stream derived from one seed (device names are hashed with FNV-1a, not
 // std::hash, so a chaos seed reproduces across platforms). Time is read
-// only through the injected mw::Clock (mw-lint: wall-clock-in-fault) and is
+// only through the injected mw::Clock (mw-analyze: clock-confinement) and is
 // used solely to timestamp the kFault trace spans — the injector keeps no
 // timers of its own.
 #pragma once

@@ -16,8 +16,8 @@
 // sees a trickle of probes instead of the full load. Every transition
 // emits a kBreaker trace span and bumps a registry counter.
 //
-// Time is read only through the injected mw::Clock (mw-lint:
-// wall-clock-in-fault): tests drive cooldowns with a ManualClock.
+// Time is read only through the injected mw::Clock (mw-analyze:
+// clock-confinement): tests drive cooldowns with a ManualClock.
 #pragma once
 
 #include <cstdint>

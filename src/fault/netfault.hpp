@@ -11,8 +11,8 @@
 // CI reproduces the same drop/delay pattern regardless of thread
 // interleaving or which links happen to be exercised first.
 //
-// Time is read only through the injected mw::Clock (mw-lint:
-// wall-clock-in-fault); drops emit kFault instants on that timeline.
+// Time is read only through the injected mw::Clock (mw-analyze:
+// clock-confinement); drops emit kFault instants on that timeline.
 #pragma once
 
 #include <cstdint>

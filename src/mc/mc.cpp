@@ -5,19 +5,20 @@
 // This file is the one sanctioned home of raw threading primitives outside
 // common/sync.hpp and the ThreadPool: the checker IS the instrumentation
 // layer the wrappers call into, so routing it through the wrappers would
-// recurse. Every use below carries an explicit mw-lint allow.
+// recurse. Every use below carries an explicit mw-analyze allow (naked-thread,
+// raw-sync-primitive).
 
 #include "mc/mc.hpp"
 
 #include <array>
-#include <condition_variable>  // mw-lint: allow(raw-sync-primitive) checker-internal baton
+#include <condition_variable>
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <mutex>  // mw-lint: allow(raw-sync-primitive) checker-internal baton
+#include <mutex>
 #include <random>
 #include <sstream>
-#include <thread>  // mw-lint: allow(naked-thread) checker owns its worker lifecycle
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -88,13 +89,13 @@ struct ThreadRec {
     int id = -1;
     Execution* exec = nullptr;
     std::function<void()> fn;
-    std::thread th;  // mw-lint: allow(naked-thread) managed checker thread
+    std::thread th;  // mw-analyze: allow(naked-thread) managed checker thread
 
     enum class State { kRunnable, kBlockedSync, kBlockedJoin, kFinished };
     State state = State::kRunnable;
     const void* wait_addr = nullptr;  ///< kBlockedSync: the contended primitive
     bool go = false;                  ///< baton: this thread may run
-    std::condition_variable cv;  // mw-lint: allow(raw-sync-primitive) baton wakeup
+    std::condition_variable cv;  // mw-analyze: allow(raw-sync-primitive) baton wakeup
     VectorClock clock;
 };
 
@@ -139,7 +140,7 @@ public:
 
     void run(const std::function<void(Sim&)>& body) {
         {
-            std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+            std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
             ThreadRec* rec = make_thread_locked([this, &body] {
                 Sim sim(this);
                 body(sim);
@@ -148,7 +149,7 @@ public:
             rec->cv.notify_one();
         }
         {
-            std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+            std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
             done_cv_.wait(lk, [this] { return finished_ == spawned_; });
         }
         for (auto& rec : threads_) {
@@ -173,7 +174,7 @@ public:
     void spawn(std::function<void()> fn) {
         ThreadRec* self = t_self;
         MW_ASSERT_MSG(self != nullptr, "Sim::thread called off a managed thread");
-        std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+        std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
         if (spawned_ >= kMaxThreads) {
             fail_locked(lk, "Sim::thread: thread cap exceeded (Options::kMaxThreads)");
         }
@@ -188,7 +189,7 @@ public:
     void join_all() {
         ThreadRec* self = t_self;
         MW_ASSERT_MSG(self != nullptr, "Sim::join_all called off a managed thread");
-        std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+        std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
         while (!others_finished_locked(self)) {
             self->state = ThreadRec::State::kBlockedJoin;
             yield_locked(lk, self, Op::kYield, nullptr, "join_all");
@@ -203,13 +204,13 @@ public:
 
     void schedule_point(Op op, const void* addr, const char* label) {
         ThreadRec* self = t_self;
-        std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+        std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
         yield_locked(lk, self, op, addr, label);
     }
 
     void apply_atomic(const void* addr, Op op, Ordering order, bool did_store) {
         ThreadRec* self = t_self;
-        std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+        std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
         AtomicState& atom = atomics_[addr];
         const bool acquire_side =
             order == Ordering::kAcquire || order == Ordering::kAcqRel;
@@ -240,20 +241,20 @@ public:
             schedule_point(op, addr, label);
             if (try_acquire(primitive)) break;
             ThreadRec* self = t_self;
-            std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+            std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
             self->state = ThreadRec::State::kBlockedSync;
             self->wait_addr = addr;
             yield_locked(lk, self, op, addr, "blocked");
             self->wait_addr = nullptr;
         }
         ThreadRec* self = t_self;
-        std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+        std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
         self->clock.join(mutexes_[addr].clock);
     }
 
     void unlock(const void* addr, bool shared) {
         ThreadRec* self = t_self;
-        std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+        std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
         log_event_locked(self->id, shared ? Op::kSharedUnlock : Op::kMutexUnlock,
                          addr, nullptr);
         MutexClock& mtx = mutexes_[addr];
@@ -271,7 +272,7 @@ public:
 
     void race_access(const void* addr, bool is_write, const char* label) {
         ThreadRec* self = t_self;
-        std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+        std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
         log_event_locked(self->id, is_write ? Op::kRaceWrite : Op::kRaceRead, addr,
                          label);
         DataState& data = races_[addr];
@@ -304,7 +305,7 @@ public:
     }
 
     void fail(const std::string& reason) {
-        std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+        std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
         fail_locked(lk, reason);
     }
 
@@ -312,7 +313,7 @@ public:
     void thread_main(ThreadRec* rec) {
         t_self = rec;
         {
-            std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+            std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
             rec->cv.wait(lk, [&] { return rec->go || aborting_; });
         }
         if (!aborting_) {
@@ -327,7 +328,7 @@ public:
             }
         }
         t_self = nullptr;
-        std::unique_lock<std::mutex> lk(mu_);  // mw-lint: allow(raw-sync-primitive) baton
+        std::unique_lock<std::mutex> lk(mu_);  // mw-analyze: allow(raw-sync-primitive) baton
         rec->state = ThreadRec::State::kFinished;
         finished_ += 1;
         // The body thread blocked in join_all becomes runnable once every
@@ -363,7 +364,7 @@ private:
         ThreadRec* raw = rec.get();
         threads_.push_back(std::move(rec));
         spawned_ += 1;
-        raw->th = std::thread(  // mw-lint: allow(naked-thread) checker-owned, joined in run()
+        raw->th = std::thread(  // mw-analyze: allow(naked-thread) checker-owned, joined in run()
             [this, raw] { thread_main(raw); });
         return raw;
     }
@@ -402,7 +403,8 @@ private:
 
     /// Record the failure (first wins), wake everyone, and abort the
     /// calling thread's schedule. `lk` must hold mu_.
-    [[noreturn]] void fail_locked(std::unique_lock<std::mutex>& lk,  // mw-lint: allow(raw-sync-primitive) baton
+    // mw-analyze: allow(raw-sync-primitive) baton
+    [[noreturn]] void fail_locked(std::unique_lock<std::mutex>& lk,
                                   const std::string& reason) {
         if (!failed_) {
             failed_ = true;
@@ -435,7 +437,8 @@ private:
     /// The scheduling point: record the event, pick the next thread per the
     /// exploration strategy, hand the baton over, and (unless at_exit) wait
     /// until this thread is picked again.
-    void yield_locked(std::unique_lock<std::mutex>& lk,  // mw-lint: allow(raw-sync-primitive) baton
+    // mw-analyze: allow(raw-sync-primitive) baton
+    void yield_locked(std::unique_lock<std::mutex>& lk,
                       ThreadRec* self, Op op, const void* addr, const char* label) {
         hand_off_locked(lk, self, /*at_exit=*/false, op, addr, label);
         self->cv.wait(lk, [&] { return self->go || aborting_; });
@@ -445,7 +448,8 @@ private:
         }
     }
 
-    void hand_off_locked(std::unique_lock<std::mutex>& lk,  // mw-lint: allow(raw-sync-primitive) baton
+    // mw-analyze: allow(raw-sync-primitive) baton
+    void hand_off_locked(std::unique_lock<std::mutex>& lk,
                          ThreadRec* self, bool at_exit, Op op, const void* addr,
                          const char* label) {
         if (aborting_) {
@@ -497,7 +501,8 @@ private:
         next->cv.notify_one();
     }
 
-    int pick_locked(std::unique_lock<std::mutex>& lk,  // mw-lint: allow(raw-sync-primitive) baton
+    // mw-analyze: allow(raw-sync-primitive) baton
+    int pick_locked(std::unique_lock<std::mutex>& lk,
                     const std::vector<int>& runnable, bool current_first) {
         const std::size_t k = cursor_;
         cursor_ += 1;
@@ -541,8 +546,8 @@ private:
     ExploreState& explore_;
     std::mt19937_64 rng_;
 
-    std::mutex mu_;  // mw-lint: allow(raw-sync-primitive) the serialization baton itself
-    std::condition_variable done_cv_;  // mw-lint: allow(raw-sync-primitive) run() completion
+    std::mutex mu_;  // mw-analyze: allow(raw-sync-primitive) the serialization baton itself
+    std::condition_variable done_cv_;  // mw-analyze: allow(raw-sync-primitive) run() completion
     std::vector<std::unique_ptr<ThreadRec>> threads_;
     std::size_t spawned_ = 0;
     std::size_t finished_ = 0;

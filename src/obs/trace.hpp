@@ -14,7 +14,7 @@
 // -DMW_OBS=OFF (no argument evaluation, zero overhead) and to a single
 // atomic pointer test when no recorder is installed. The recorder itself
 // never reads a clock: every timestamp is passed in by the caller from its
-// own injected mw::Clock / simulated timeline (mw-lint: wall-clock-in-obs).
+// own injected mw::Clock / simulated timeline (mw-analyze: clock-confinement).
 #pragma once
 
 #include <cstddef>

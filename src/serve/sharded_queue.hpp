@@ -61,17 +61,16 @@ public:
         }
     }
 
-    /// Admit a node into `shard`'s lane for its policy. Fails (false) when
-    /// the queue is closed or the global capacity is reached; the node is
-    /// untouched and stays owned by the caller.
+    /// Admit a node into `shard`'s lane for its policy (or, when that ring is
+    /// momentarily full, the same lane of a sibling shard). Fails (false)
+    /// when the queue is closed, the global capacity is reached, or every
+    /// shard's ring for the lane is full; the node is then untouched and
+    /// stays owned by the caller.
     [[nodiscard]] bool try_push(std::size_t shard, HotRequest* node) {
         MW_DCHECK(shard < shards_.size(), "shard index out of range");
         MW_DCHECK(node != nullptr, "try_push(nullptr)");
         if (closed_.load(std::memory_order_acquire)) return false;
-        // Reserve a capacity slot first; roll back if the ring reports full
-        // anyway. That happens only when this push laps onto a slot whose
-        // pop has claimed but not yet released it (the mw::mc evict-vs-pop
-        // check reaches it): the caller then refuses, it never blocks.
+        // Reserve a capacity slot first, then find ring space for it.
         std::size_t total = total_.load(std::memory_order_relaxed);  // relaxed: CAS below owns the slot handoff
         for (;;) {
             if (total >= capacity_) return false;
@@ -81,10 +80,8 @@ public:
             }
         }
         Shard& s = shards_[shard];
-        if (!s.lanes[lane_of(node->policy)]->try_push(node)) {
-            total_.fetch_sub(1, std::memory_order_acq_rel);
-            return false;
-        }
+        const std::size_t lane = lane_of(node->policy);
+        if (!s.lanes[lane]->try_push(node)) return push_to_sibling(shard, lane, node);
         s.size.fetch_add(1, std::memory_order_release);
         return true;
     }
@@ -169,6 +166,26 @@ public:
 
 private:
     using Ring = MpmcRing<HotRequest*, PublishOrder, ConsumeOrder>;
+
+    /// try_push's failure branch. The lane ring can report full although
+    /// the counter admitted the node: the push lapped onto a slot whose pop
+    /// has claimed but not yet released it (the mw::mc evict-vs-pop checks
+    /// reach it). The same lane of a sibling shard then takes the node; only
+    /// when every shard's ring is stalled that way does the reserved slot
+    /// roll back and the caller refuse. It never blocks. Out of line so the
+    /// admission fast path stays small enough to inline.
+    [[nodiscard, gnu::noinline]] bool push_to_sibling(std::size_t shard, std::size_t lane,
+                                                      HotRequest* node) {
+        for (std::size_t step = 1; step < shards_.size(); ++step) {
+            Shard& sibling = shards_[(shard + step) % shards_.size()];
+            if (sibling.lanes[lane]->try_push(node)) {
+                sibling.size.fetch_add(1, std::memory_order_release);
+                return true;
+            }
+        }
+        total_.fetch_sub(1, std::memory_order_acq_rel);
+        return false;
+    }
 
     /// One worker's sub-queue: a ring per policy lane plus an approximate
     /// occupancy counter for steal-victim selection. Padded so neighbouring

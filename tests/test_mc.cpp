@@ -224,17 +224,19 @@ TEST(McMpmcRing, RelaxedOrderMutationIsCaughtAndReplays) {
 /// duplicate; and at quiescence the global capacity counter equals ring
 /// occupancy, so eviction neither leaks nor double-frees a capacity slot.
 ///
-/// The newcomer can be refused although the counter had room: the lane ring
-/// holds exactly the capacity, so the newcomer's push laps onto the slot of
-/// the old head, and if the worker has claimed that head but not yet
-/// released its slot, the ring reports full (the checker found this). The
-/// Server then refuses the newcomer kRejectedFull, accounted like any other
-/// refusal. Only a racing pop can cause it, so a refusal implies the worker
-/// consumed something.
-template <typename Queue>
+/// The lane ring holds exactly the capacity, so the newcomer's push laps
+/// onto the slot of the old head, and if the worker has claimed that head
+/// but not yet released its slot, the ring reports full although the
+/// counter had room (the checker found this). With one shard the newcomer
+/// is then refused, accounted like any other refusal; only a racing pop can
+/// cause it, so a refusal implies the worker consumed something. With two
+/// shards try_push falls back to the sibling shard's idle lane, so the
+/// newcomer is never refused: when it pushes, the eviction or one of the
+/// worker's completed pops has already given back a capacity slot.
+template <typename Queue, std::size_t kShards = 1>
 void evict_vs_pop_body(Sim& sim) {
     struct State {
-        Queue queue{1, 2};
+        Queue queue{kShards, 2};
         std::array<mw::serve::HotRequest, 3> nodes;
         std::vector<std::uint64_t> evicted, consumed;
         bool refused = false;
@@ -273,6 +275,7 @@ void evict_vs_pop_body(Sim& sim) {
     if (st->refused) {
         count(3);
         MC_ASSERT_MSG(!st->consumed.empty(), "newcomer refused with no pop racing it");
+        MC_ASSERT_MSG(kShards == 1, "newcomer refused while the capacity counter had room");
     }
     MC_ASSERT_MSG(seen[1] == 1 && seen[2] == 1 && seen[3] == 1,
                   "evict vs pop lost or duplicated a request");
@@ -280,6 +283,10 @@ void evict_vs_pop_body(Sim& sim) {
 
 void evict_vs_pop_body_correct(Sim& sim) {
     evict_vs_pop_body<mw::serve::ShardedRequestQueue>(sim);
+}
+
+void evict_vs_pop_body_two_shards(Sim& sim) {
+    evict_vs_pop_body<mw::serve::ShardedRequestQueue, 2>(sim);
 }
 
 /// The mutation: the lane rings' slot sequence numbers published/consumed
@@ -292,6 +299,13 @@ void evict_vs_pop_body_relaxed(Sim& sim) { evict_vs_pop_body<RelaxedShardedQueue
 
 TEST(McShardedQueue, EvictVsPopExhaustsWithAcquireRelease) {
     const Result r = mw::mc::check(exhaustive(), evict_vs_pop_body_correct);
+    EXPECT_FALSE(r.failed) << r.message;
+    EXPECT_TRUE(r.exhausted) << "state space unexpectedly large: " << r.schedules;
+    EXPECT_GT(r.schedules, 1u);
+}
+
+TEST(McShardedQueue, EvictVsPopTwoShardsNeverRefusesWithRoom) {
+    const Result r = mw::mc::check(exhaustive(), evict_vs_pop_body_two_shards);
     EXPECT_FALSE(r.failed) << r.message;
     EXPECT_TRUE(r.exhausted) << "state space unexpectedly large: " << r.schedules;
     EXPECT_GT(r.schedules, 1u);

@@ -23,12 +23,14 @@ std::string qualified(const Key& k) {
     return k.first.empty() ? k.second : k.first + "::" + k.second;
 }
 
-bool has_suffix(const std::string& s, const std::string& suffix) {
-    return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 bool has_prefix(const std::string& s, const std::string& prefix) {
     return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+// Every file list in AnalyzerConfig matches root-relative paths by prefix.
+bool listed(const std::vector<std::string>& prefixes, const std::string& path) {
+    return std::any_of(prefixes.begin(), prefixes.end(),
+                       [&path](const std::string& p) { return has_prefix(path, p); });
 }
 
 // --- call resolution -------------------------------------------------------
@@ -183,6 +185,14 @@ AnalyzerConfig default_config() {
         // clock; holding an unrelated lock across it couples tiers.
         "Transport::send",
     };
+    // Source-wide rows: each raw facility may be touched only by the one file
+    // family that wraps it.
+    const std::string sync_home = "src/common/sync.hpp";
+    const std::vector<std::string> clock_home = {"src/common/timer.hpp", sync_home};
+    const std::string clock_why =
+        "wall-clock time goes through mw::Stopwatch (common/timer.hpp) and timed waits "
+        "through mw::CondVar, the two sanctioned conversion points";
+    // Clock-injected tiers: no wall clock at all, not even the wrappers.
     const std::vector<std::string> clock_idents = {"Stopwatch", "WallClock"};
     // Blocking primitives banned from the lock-free hot path files: one
     // Mutex smuggled into a ring or pool turns the whole submit path back
@@ -194,23 +204,49 @@ AnalyzerConfig default_config() {
         "this file is on the lock-free hot path (DESIGN.md §15); blocking "
         "primitives belong behind the cold publish boundary";
     cfg.confinement = {
-        {"src/serve/", clock_idents, "clock-confinement",
+        {"raw-atomic", "", {sync_home}, {"atomic", "atomic_flag", "atomic_ref"},
+         "use the instrumented mw::Atomic wrapper (common/sync.hpp) so mw::mc can interleave it",
+         Qual::kStd},
+        {"naked-thread", "src/", {"src/common/thread_pool."}, {"thread"},
+         "route work through mw::ThreadPool so shutdown, exception routing and sanitizer "
+         "coverage stay in one place",
+         Qual::kStd, Follow::kNotScope},
+        {"raw-sync-primitive", "src/", {sync_home},
+         {"mutex", "shared_mutex", "timed_mutex", "recursive_mutex", "shared_timed_mutex",
+          "condition_variable", "condition_variable_any", "lock_guard", "unique_lock",
+          "shared_lock", "scoped_lock"},
+         "use mw::Mutex / mw::SharedMutex / mw::CondVar and the RAII guards from "
+         "common/sync.hpp (rank-checked, TSA-annotated)",
+         Qual::kStd},
+        {"raw-assert", "src/", {}, {"assert", "<cassert>"},
+         "use MW_CHECK (precondition) or MW_ASSERT / MW_DCHECK (invariant); NDEBUG "
+         "silently compiles assert out",
+         Qual::kAny, Follow::kCall},
+        {"raw-abort", "src/", {"src/common/error.hpp"}, {"abort", "exit"},
+         "fatal paths go through the MW_* macros in common/error.hpp so they print where and why",
+         Qual::kStdOrNone, Follow::kCall},
+        {"time-arith-confined", "src/", clock_home, {"chrono"}, clock_why, Qual::kStd},
+        {"time-arith-confined", "src/", clock_home,
+         {"steady_clock", "system_clock", "high_resolution_clock", "clock_gettime",
+          "gettimeofday"},
+         clock_why},
+        {"clock-confinement", "src/serve/", {}, clock_idents,
          "the serving tier is clock-injected; construct a WallClock at the composition root"},
-        {"src/obs/", clock_idents, "clock-confinement",
+        {"clock-confinement", "src/obs/", {}, clock_idents,
          "trace/metrics timestamps come from the injected mw::Clock so tests stay deterministic"},
-        {"src/fault/", clock_idents, "clock-confinement",
+        {"clock-confinement", "src/fault/", {}, clock_idents,
          "fault schedules must replay deterministically on the injected mw::Clock"},
-        {"src/cluster/", clock_idents, "clock-confinement",
+        {"clock-confinement", "src/cluster/", {}, clock_idents,
          "link latency and routing clocks are injected; wall time would break simulation"},
-        {"src/graph/", clock_idents, "clock-confinement",
+        {"clock-confinement", "src/graph/", {}, clock_idents,
          "DAG planning and verification run on the simulated timeline; schedules must replay "
          "bit-identically from any injected mw::Clock"},
-        {"src/common/mpmc_ring.hpp", blocking_idents, "lock-free-confinement", lockfree_why},
-        {"src/common/epoch_cell.hpp", blocking_idents, "lock-free-confinement", lockfree_why},
-        {"src/serve/sharded_queue.", blocking_idents, "lock-free-confinement", lockfree_why},
-        {"src/serve/request_pool.", blocking_idents, "lock-free-confinement", lockfree_why},
+        {"lock-free-confinement", "src/common/mpmc_ring.hpp", {}, blocking_idents, lockfree_why},
+        {"lock-free-confinement", "src/common/epoch_cell.hpp", {}, blocking_idents, lockfree_why},
+        {"lock-free-confinement", "src/serve/sharded_queue.", {}, blocking_idents, lockfree_why},
+        {"lock-free-confinement", "src/serve/request_pool.", {}, blocking_idents, lockfree_why},
     };
-    cfg.exempt_suffixes = {"common/sync.hpp"};
+    cfg.wrappers = {sync_home};
     return cfg;
 }
 
@@ -247,11 +283,7 @@ Program load_program(const std::string& root, const AnalyzerConfig& cfg, std::st
         buf << in.rdbuf();
         std::string rel = rel_prefix + fs::relative(p, scan).generic_string();
         LexedFile lf = lex(rel, buf.str());
-        bool exempt = false;
-        for (const std::string& suf : cfg.exempt_suffixes) {
-            if (has_suffix(rel, suf)) exempt = true;
-        }
-        scan_file(lf, prog, /*rank_table_only=*/exempt);
+        scan_file(lf, prog, /*rank_table_only=*/listed(cfg.wrappers, rel));
         prog.files.push_back(std::move(lf));
     }
     return prog;
@@ -513,51 +545,59 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
         }
     }
 
-    // Checks 3 + 4: token-level discipline (atomics, clocks).
+    // Checks 3 + 4: the token-rule table, and justified relaxed ordering.
     for (const LexedFile& f : prog.files) {
-        bool exempt = false;
-        for (const std::string& suf : cfg.exempt_suffixes) {
-            if (has_suffix(f.path, suf)) exempt = true;
-        }
-        if (exempt) continue;
-        std::vector<const ConfinementRule*> conf;
+        std::vector<const ConfinementRule*> rules;
         for (const ConfinementRule& rule : cfg.confinement) {
-            if (has_prefix(f.path, rule.prefix)) conf.push_back(&rule);
+            if (has_prefix(f.path, rule.prefix) && !listed(rule.sanctioned, f.path)) {
+                rules.push_back(&rule);
+            }
         }
-        for (std::size_t ti = 0; ti < f.tokens.size(); ++ti) {
-            const Token& t = f.tokens[ti];
-            if (t.kind != Tok::kIdent) continue;
-            if (t.text == "atomic" || t.text == "atomic_flag" || t.text == "atomic_ref") {
-                const Token* p1 = ti >= 1 ? &f.tokens[ti - 1] : nullptr;
-                const Token* p2 = ti >= 2 ? &f.tokens[ti - 2] : nullptr;
-                const bool std_qualified = p1 != nullptr && p1->kind == Tok::kPunct &&
-                                           p1->text == "::" && p2 != nullptr &&
-                                           p2->kind == Tok::kIdent &&
-                                           (p2->text == "std" || p2->text == "stdsync");
-                if (std_qualified) {
-                    raw.push_back({f.path, t.line, "raw-atomic",
-                                   "raw std::" + t.text +
-                                       " — use the instrumented mw::Atomic wrapper "
-                                       "(common/sync.hpp) so mw::mc can interleave it"});
-                }
+        std::set<std::pair<int, std::string>> reported;  // (line, check): one finding each
+        auto report = [&](int line, const ConfinementRule& rule, const std::string& spelled) {
+            if (reported.emplace(line, rule.check).second) {
+                raw.push_back({f.path, line, rule.check, "`" + spelled + "` — " + rule.why});
             }
-            if (t.text == "memory_order_relaxed") {
-                auto cit = f.comments.find(t.line);
-                const bool justified =
-                    cit != f.comments.end() && cit->second.find("relaxed:") != std::string::npos;
-                if (!justified) {
-                    raw.push_back({f.path, t.line, "relaxed-order-justified",
-                                   "memory_order_relaxed without a same-line `// relaxed: ...` "
-                                   "justification"});
-                }
+        };
+        auto bans = [](const ConfinementRule& rule, const std::string& text) {
+            return std::find(rule.banned.begin(), rule.banned.end(), text) != rule.banned.end();
+        };
+        for (const auto& [line, header] : f.includes) {
+            for (const ConfinementRule* rule : rules) {
+                if (bans(*rule, header)) report(line, *rule, "#include " + header);
             }
-            for (const ConfinementRule* rule : conf) {
-                for (const std::string& banned : rule->banned) {
-                    if (t.text == banned) {
-                        raw.push_back({f.path, t.line, rule->check,
-                                       "`" + banned + "` referenced under " + rule->prefix +
-                                           " — " + rule->why});
+        }
+        const bool relaxed_exempt = listed(cfg.wrappers, f.path);
+        // Directive lines are checked like code: a `#define` body is a use.
+        for (const std::vector<Token>* toks : {&f.tokens, &f.directive_tokens}) {
+            const std::size_t count = toks->size();
+            auto punct_at = [toks, count](std::size_t at, const char* text) {
+                return at < count && (*toks)[at].kind == Tok::kPunct && (*toks)[at].text == text;
+            };
+            for (std::size_t ti = 0; ti < count; ++ti) {
+                const Token& t = (*toks)[ti];
+                if (t.kind != Tok::kIdent) continue;
+                if (t.text == "memory_order_relaxed" && !relaxed_exempt) {
+                    auto cit = f.comments.find(t.line);
+                    const bool justified = cit != f.comments.end() &&
+                                           cit->second.find("relaxed:") != std::string::npos;
+                    if (!justified) {
+                        raw.push_back({f.path, t.line, "relaxed-order-justified",
+                                       "memory_order_relaxed without a same-line `// relaxed: "
+                                       "...` justification"});
                     }
+                }
+                const bool scoped = ti >= 1 && punct_at(ti - 1, "::");
+                const Token* ns = scoped && ti >= 2 ? &(*toks)[ti - 2] : nullptr;
+                const bool std_scoped = ns != nullptr && ns->kind == Tok::kIdent &&
+                                        (ns->text == "std" || ns->text == "stdsync");
+                for (const ConfinementRule* rule : rules) {
+                    if (!bans(*rule, t.text)) continue;
+                    if (rule->qual == Qual::kStd && !std_scoped) continue;
+                    if (rule->qual == Qual::kStdOrNone && scoped && !std_scoped) continue;
+                    if (rule->follow == Follow::kCall && !punct_at(ti + 1, "(")) continue;
+                    if (rule->follow == Follow::kNotScope && punct_at(ti + 1, "::")) continue;
+                    report(t.line, *rule, std_scoped ? ns->text + "::" + t.text : t.text);
                 }
             }
         }
@@ -571,6 +611,7 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
         file_by_path[f.path] = &f;
         std::set<int>& lines = token_lines[f.path];
         for (const Token& t : f.tokens) lines.insert(t.line);
+        for (const Token& t : f.directive_tokens) lines.insert(t.line);
     }
     for (Finding& fd : raw) {
         auto fit = file_by_path.find(fd.file);
@@ -586,7 +627,7 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
             };
             allowed = comment_allows(fd.line);
             for (int line = fd.line - 1; !allowed && line > 0; --line) {
-                if (lines.count(line) != 0) break;           // code line: stop
+                if (lines.count(line) != 0) break;           // code or directive line: stop
                 if (lf.comments.count(line) == 0) break;     // blank line: stop
                 allowed = comment_allows(line);
             }

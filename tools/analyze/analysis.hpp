@@ -1,6 +1,6 @@
-// mw-analyze: program loading, lock-graph construction, and the four
-// whole-program checks (lock-order, blocking-under-lock, atomic discipline,
-// clock confinement).
+// mw-analyze: program loading, lock-graph construction, and the checks:
+// lock order and blocking-under-lock over the whole-program lock graph,
+// justified relaxed ordering, and the token-rule table (default_config).
 #pragma once
 
 #include <string>

@@ -31,29 +31,44 @@ LexedFile lex(const std::string& path, const std::string& text) {
         slot += body;
     };
 
+    // Tokens of a directive line (and its `\` continuations) go to their own
+    // stream; every other token goes to out.tokens.
+    std::vector<Token>* sink = &out.tokens;
+
     while (i < n) {
         const char c = text[i];
+        if (c == '\\' && i + 1 < n && text[i + 1] == '\n') {  // line splice
+            ++line;
+            i += 2;
+            continue;
+        }
         if (c == '\n') {
             ++line;
             ++i;
             at_line_start = true;
+            sink = &out.tokens;
             continue;
         }
         if (std::isspace(static_cast<unsigned char>(c))) {
             ++i;
             continue;
         }
-        // Preprocessor directive: swallow to end of line, honoring `\`
-        // continuations (each continuation still advances the line counter).
+        // Preprocessor directive: the rest of the line lexes into the
+        // directive stream. An `#include` records its header name instead.
         if (c == '#' && at_line_start) {
-            while (i < n) {
-                if (text[i] == '\\' && i + 1 < n && text[i + 1] == '\n') {
-                    ++line;
-                    i += 2;
-                    continue;
+            at_line_start = false;
+            sink = &out.directive_tokens;
+            sink->push_back({Tok::kPunct, "#", line});
+            std::size_t j = text.find_first_not_of(" \t", ++i);
+            if (j != std::string::npos && text.compare(j, 7, "include") == 0) {
+                j = text.find_first_not_of(" \t", j + 7);
+                const char open = j == std::string::npos ? '\0' : text[j];
+                const std::size_t close =
+                    open == '<' ? text.find('>', j) : open == '"' ? text.find('"', j + 1) : j;
+                if (close != std::string::npos && close > j && text.find('\n', j) > close) {
+                    out.includes.emplace_back(line, text.substr(j, close + 1 - j));
+                    i = close + 1;
                 }
-                if (text[i] == '\n') break;
-                ++i;
             }
             continue;
         }
@@ -89,7 +104,7 @@ LexedFile lex(const std::string& path, const std::string& text) {
             for (std::size_t k = i; k < end; ++k) {
                 if (text[k] == '\n') ++line;
             }
-            out.tokens.push_back({Tok::kString, "", line});
+            sink->push_back({Tok::kString, "", line});
             i = end;
             continue;
         }
@@ -105,7 +120,7 @@ LexedFile lex(const std::string& path, const std::string& text) {
                 if (text[j] == quote || text[j] == '\n') break;
                 ++j;
             }
-            out.tokens.push_back({quote == '"' ? Tok::kString : Tok::kChar, "", line});
+            sink->push_back({quote == '"' ? Tok::kString : Tok::kChar, "", line});
             i = j < n ? j + 1 : n;
             continue;
         }
@@ -113,7 +128,7 @@ LexedFile lex(const std::string& path, const std::string& text) {
         if (ident_start(c)) {
             std::size_t j = i + 1;
             while (j < n && ident_char(text[j])) ++j;
-            out.tokens.push_back({Tok::kIdent, text.substr(i, j - i), line});
+            sink->push_back({Tok::kIdent, text.substr(i, j - i), line});
             i = j;
             continue;
         }
@@ -127,7 +142,7 @@ LexedFile lex(const std::string& path, const std::string& text) {
                                text[j - 1] == 'p' || text[j - 1] == 'P')))) {
                 ++j;
             }
-            out.tokens.push_back({Tok::kNumber, text.substr(i, j - i), line});
+            sink->push_back({Tok::kNumber, text.substr(i, j - i), line});
             i = j;
             continue;
         }
@@ -136,14 +151,14 @@ LexedFile lex(const std::string& path, const std::string& text) {
         for (const char* p : kPuncts) {
             const std::size_t len = std::char_traits<char>::length(p);
             if (text.compare(i, len, p) == 0) {
-                out.tokens.push_back({Tok::kPunct, p, line});
+                sink->push_back({Tok::kPunct, p, line});
                 i += len;
                 matched = true;
                 break;
             }
         }
         if (!matched) {
-            out.tokens.push_back({Tok::kPunct, std::string(1, c), line});
+            sink->push_back({Tok::kPunct, std::string(1, c), line});
             ++i;
         }
     }

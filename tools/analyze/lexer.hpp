@@ -3,14 +3,16 @@
 // Produces an identifier/punctuation token stream with line numbers, with
 // comments and string/char literals stripped out of the stream but comments
 // retained per-line (suppressions and `// relaxed:` justifications live in
-// them). Preprocessor directives are dropped whole (including continuation
-// lines): the analyzer reasons about the token stream of one configuration,
-// not the preprocessed program, and `#define` bodies would otherwise be
-// misread as code at namespace scope.
+// them). Preprocessor directive lines (with their `\` continuations) lex
+// into a stream of their own: the declaration scanner reads only the code
+// stream, where `#define` bodies would be misread as code at namespace
+// scope, while the token rules read both. `#include` header names are kept
+// as spelled instead of tokenized.
 #pragma once
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace mwa {
@@ -32,10 +34,13 @@ struct Token {
 struct LexedFile {
     std::string path;  // display path (root-relative)
     std::vector<Token> tokens;
+    std::vector<Token> directive_tokens;  // from `#` lines, `#` included
     // line number -> concatenated comment text appearing on that line. A
     // block comment contributes to the line it STARTS on (trailing
     // justifications and allow() markers are same-line by convention).
     std::unordered_map<int, std::string> comments;
+    // One entry per `#include` line: (line, header as spelled, e.g. "<cassert>").
+    std::vector<std::pair<int, std::string>> includes;
 };
 
 /// Tokenize `text`. Never fails: unrecognized bytes are skipped.

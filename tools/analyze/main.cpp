@@ -22,13 +22,25 @@ const char kUsage[] =
     "                           increase LockRank (src/common/sync.hpp)\n"
     "  lock-order-cycle         the derived lock graph must be acyclic, across TUs\n"
     "  blocking-under-lock      no sleeps / stdio / Transport::send under a guard\n"
-    "  raw-atomic               atomics go through mw::Atomic, not std::atomic\n"
     "  relaxed-order-justified  memory_order_relaxed needs a `// relaxed:` note\n"
-    "  clock-confinement        no Stopwatch/WallClock in clock-injected tiers\n"
+    "\n"
+    "Token rules (each bans identifiers outside the files that wrap them):\n"
+    "  raw-atomic               std::atomic* only in common/sync.hpp (use mw::Atomic)\n"
+    "  naked-thread             std::thread only in common/thread_pool.*\n"
+    "  raw-sync-primitive       std mutexes/condvars/lock guards only in\n"
+    "                           common/sync.hpp (use mw::Mutex, mw::CondVar)\n"
+    "  raw-assert               no assert() or <cassert> in src/ (use MW_CHECK,\n"
+    "                           MW_ASSERT, MW_DCHECK)\n"
+    "  raw-abort                abort()/exit() only in common/error.hpp\n"
+    "  time-arith-confined      std::chrono and clock reads only in\n"
+    "                           common/timer.hpp and common/sync.hpp\n"
+    "  clock-confinement        no Stopwatch/WallClock in the clock-injected tiers\n"
+    "                           (serve, obs, fault, cluster, graph)\n"
     "  lock-free-confinement    no Mutex/CondVar/locks in the serving hot-path\n"
     "                           files (rings, epoch cell, request pool)\n"
     "\n"
-    "Suppress one finding with a same-line comment: // mw-analyze: allow(<check>)\n";
+    "Suppress one finding with a comment on its line, or in the comment block\n"
+    "directly above it: // mw-analyze: allow(<check>) <justification>\n";
 
 }  // namespace
 

@@ -106,17 +106,36 @@ struct Finding {
     std::string message;  // human text, includes the acquisition chain
 };
 
-/// Per-path identifier bans (clock-confinement, lock-free-confinement) as
-/// one declarative table instead of N copy-pasted regex rules. `prefix` is
-/// matched against the root-relative path, so it names either a directory
-/// ("src/serve/") or a specific file family ("src/serve/sharded_queue.").
-/// Every rule matching a file applies — a file can be both clock-confined
-/// and lock-free-confined.
+/// How a banned identifier must be qualified to count.
+enum class Qual {
+    kAny,        // any spelling: `assert`, `x::assert`
+    kStd,        // only `std::name` (or `stdsync::name`, sync.hpp's alias of ::std)
+    kStdOrNone,  // `name` or `std::name`, but not `other::name`
+};
+
+/// What must follow a banned identifier for it to count.
+enum class Follow {
+    kAnything,
+    kCall,      // `name(`: assert(x), abort()
+    kNotScope,  // not `name::`: `std::thread t` counts, `std::thread::id` does not
+};
+
+/// One row of the token-rule table: identifiers (and `#include` headers)
+/// banned from every file under `prefix` except the sanctioned ones. Paths
+/// are root-relative and matched by prefix, so an entry names either a
+/// directory ("src/serve/") or a file family ("src/common/thread_pool.").
+/// Every row matching a file applies; several rows may share one check
+/// name, and a check reports a line at most once.
 struct ConfinementRule {
-    std::string prefix;               // root-relative path prefix
-    std::vector<std::string> banned;  // identifier tokens
-    std::string check;                // finding name, e.g. "clock-confinement"
-    std::string why;                  // appended to the diagnostic
+    std::string check;                    // finding name, e.g. "naked-thread"
+    std::string prefix;                   // files the row covers ("" = all)
+    std::vector<std::string> sanctioned;  // files exempt from the row
+    // Identifier tokens; an entry spelled `<header>` matches an
+    // `#include <header>` line instead.
+    std::vector<std::string> banned;
+    std::string why;  // appended to the diagnostic
+    Qual qual = Qual::kAny;
+    Follow follow = Follow::kAnything;
 };
 
 struct AnalyzerConfig {
@@ -125,9 +144,11 @@ struct AnalyzerConfig {
     // qualified "Class::method" (matched only when the call resolves there).
     std::vector<std::string> blocking;
     std::vector<ConfinementRule> confinement;
-    // Files exempt from the token-level checks and declaration scanning (the
-    // one sanctioned home of raw atomics; also where the rank table lives).
-    std::vector<std::string> exempt_suffixes;
+    // Files the declaration scanner reads only for the LockRank table and the
+    // relaxed-order check skips: the wrappers' own implementation, the one
+    // sanctioned home of raw atomics and locks. Matched by prefix, as
+    // ConfinementRule::sanctioned is.
+    std::vector<std::string> wrappers;
 };
 
 /// The default configuration mirroring the repo's conventions.

@@ -1,7 +1,7 @@
-// mw-analyze: golden-fixture self test (mw-lint --self-test style). Each
-// subdirectory of the fixtures dir is analyzed as its own root; expected
-// findings are declared inline as `expect(<check>)` comments and compared
-// exactly — extra findings fail the same as missing ones.
+// mw-analyze: golden-fixture self test. Each subdirectory of the fixtures
+// dir is analyzed as its own root; expected findings are declared inline as
+// `expect(<check>)` comments and compared exactly — extra findings fail the
+// same as missing ones.
 #pragma once
 
 #include <string>
