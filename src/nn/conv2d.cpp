@@ -14,9 +14,7 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t filters, std::size_t filter_
       k_(filter_size),
       act_(act),
       weights_(Shape{filters, in_channels, filter_size, filter_size}),
-      bias_(Shape{filters}),
-      grad_weights_(Shape{filters, in_channels, filter_size, filter_size}),
-      grad_bias_(Shape{filters}) {
+      bias_(Shape{filters}) {
     MW_CHECK(in_channels > 0 && filters > 0, "Conv2d dims must be positive");
     MW_CHECK(filter_size % 2 == 1, "Conv2d same-padding requires odd filter size");
 }
@@ -90,6 +88,8 @@ void Conv2d::backward(const Tensor& in, const Tensor& out, const Tensor& dout, T
     (void)pool;
     MW_CHECK(dout.shape() == out.shape(), "Conv2d backward dout shape mismatch");
     MW_CHECK(din.shape() == in.shape(), "Conv2d backward din shape mismatch");
+    MW_CHECK(grad_weights_.shape() == weights_.shape(),
+             "Conv2d backward before zero_grads() shaped the gradients");
     const std::size_t batch = in.shape()[0];
     const std::size_t h = in.shape()[2];
     const std::size_t w = in.shape()[3];

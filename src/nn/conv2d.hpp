@@ -44,7 +44,7 @@ private:
     Activation act_;
     Tensor weights_;  ///< (filters, in_ch, k, k)
     Tensor bias_;     ///< (filters)
-    Tensor grad_weights_;
+    Tensor grad_weights_;  ///< same shape as weights_ once zero_grads() ran
     Tensor grad_bias_;
     ConvAlgorithm algorithm_ = ConvAlgorithm::kDirect;
 };

@@ -12,9 +12,7 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, Activation act)
       out_dim_(out_dim),
       act_(act),
       weights_(Shape{out_dim, in_dim}),
-      bias_(Shape{out_dim}),
-      grad_weights_(Shape{out_dim, in_dim}),
-      grad_bias_(Shape{out_dim}) {
+      bias_(Shape{out_dim}) {
     MW_CHECK(in_dim > 0 && out_dim > 0, "Dense dimensions must be positive");
 }
 
@@ -41,6 +39,8 @@ void Dense::backward(const Tensor& in, const Tensor& out, const Tensor& dout, Te
     const std::size_t batch = in.shape()[0];
     MW_CHECK(dout.shape() == out.shape(), "Dense backward dout shape mismatch");
     MW_CHECK(din.shape() == in.shape(), "Dense backward din shape mismatch");
+    MW_CHECK(grad_weights_.shape() == weights_.shape(),
+             "Dense backward before zero_grads() shaped the gradients");
 
     // dz = dout ⊙ act'(out); softmax is fused with the loss upstream, in
     // which case dout already is dz and act grad must be identity.

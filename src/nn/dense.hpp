@@ -35,7 +35,7 @@ private:
     Activation act_;
     Tensor weights_;       ///< (out_dim, in_dim)
     Tensor bias_;          ///< (out_dim)
-    Tensor grad_weights_;  ///< same shape as weights_
+    Tensor grad_weights_;  ///< same shape as weights_ once zero_grads() ran
     Tensor grad_bias_;
 };
 

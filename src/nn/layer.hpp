@@ -57,7 +57,9 @@ public:
 
     /// Backpropagate: given the forward pair (in, out) and dL/dout, compute
     /// dL/din into `din` and accumulate parameter gradients. Layers without
-    /// parameters only propagate. Default: throws (inference-only layer).
+    /// parameters only propagate; layers with parameters require
+    /// zero_grads() to have shaped their gradients first. Default: throws
+    /// (inference-only layer).
     virtual void backward(const Tensor& in, const Tensor& out, const Tensor& dout, Tensor& din,
                           ThreadPool* pool);
 
@@ -66,7 +68,9 @@ public:
 
     /// Pairs of (parameter tensor, gradient tensor) owned by the layer;
     /// empty for parameter-free layers. The trainer and the weights I/O
-    /// module iterate these in order.
+    /// module iterate these in order. A gradient stays empty until the
+    /// first zero_grads(), so an inference-only model holds no gradient
+    /// buffers.
     struct ParamBinding {
         Tensor* value;
         Tensor* grad;
@@ -80,9 +84,16 @@ public:
         return n;
     }
 
-    /// Reset accumulated gradients to zero.
+    /// Reset accumulated gradients to zero, allocating them (shaped like
+    /// their parameters) on first use.
     void zero_grads() {
-        for (auto& b : param_bindings()) b.grad->fill(0.0F);
+        for (auto& b : param_bindings()) {
+            if (b.grad->shape() == b.value->shape()) {
+                b.grad->fill(0.0F);
+            } else {
+                *b.grad = Tensor(b.value->shape());
+            }
+        }
     }
 };
 

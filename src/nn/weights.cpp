@@ -51,7 +51,6 @@ void initialise_weights(Model& model, Rng& rng) {
                 b.value->fill_uniform(rng, -limit, limit);
             }
         }
-        layer.zero_grads();
     }
 }
 

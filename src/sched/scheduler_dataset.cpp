@@ -65,11 +65,24 @@ SchedulerDataset build_scheduler_dataset(device::DeviceRegistry& registry,
     ds.data.features = kFeatureCount;
     ds.data.classes = ds.device_names.size();
 
+    // Profile what is deployed: a model every device already holds is
+    // measured as is. Only a spec no device holds is built and loaded.
     std::map<std::string, nn::ModelDesc> descs;
+    const std::vector<device::Device*> devices = registry.devices();
     for (const auto& spec : specs) {
-        auto model = std::make_shared<nn::Model>(nn::build_model(spec, config.model_seed));
-        descs[spec.name] = model->desc();
-        registry.load_model_everywhere(model);
+        const auto holders = std::count_if(devices.begin(), devices.end(),
+                                           [&](const device::Device* dev) {
+                                               return dev->has_model(spec.name);
+                                           });
+        if (holders == 0) {
+            auto model = std::make_shared<nn::Model>(nn::build_model(spec, config.model_seed));
+            descs[spec.name] = model->desc();
+            registry.load_model_everywhere(model);
+            continue;
+        }
+        MW_CHECK(static_cast<std::size_t>(holders) == devices.size(),
+                 "model `" + spec.name + "` is deployed on only some devices");
+        descs[spec.name] = devices.front()->model(spec.name).desc();
     }
 
     const std::vector<std::size_t> batches =
@@ -110,7 +123,7 @@ SchedulerDataset build_scheduler_dataset(device::DeviceRegistry& registry,
     }
     // Profiling is an offline campaign: hand the platform back quiescent so
     // online serving does not queue behind the measurement timeline.
-    for (device::Device* dev : registry.devices()) dev->reset_timeline();
+    for (device::Device* dev : devices) dev->reset_timeline();
     return ds;
 }
 

@@ -43,11 +43,16 @@ struct DatasetBuilderConfig {
     std::vector<Policy> policies{Policy::kMaxThroughput, Policy::kMinLatency,
                                  Policy::kMinEnergy};
     std::size_t repeats = 1;               ///< measurement repetitions per point
+    /// Weight seed of the models built for specs that no device holds yet;
+    /// a model already deployed everywhere is profiled as deployed.
     std::uint64_t model_seed = 7;
 };
 
 /// Measure every architecture on every device and label the winners.
-/// Loads the models onto the registry's devices as a side effect.
+/// A spec whose model every device already holds is profiled as deployed
+/// (its weights and instance untouched); a spec no device holds is built
+/// with `model_seed` and loaded onto every device as a side effect. A spec
+/// deployed on only some devices is rejected.
 SchedulerDataset build_scheduler_dataset(device::DeviceRegistry& registry,
                                          const std::vector<nn::ModelSpec>& specs,
                                          const DatasetBuilderConfig& config = {});

@@ -55,9 +55,14 @@ public:
         // Each lane ring can hold the full global capacity: the admission
         // counter (not ring space) enforces the capacity contract, so a burst
         // landing on one shard/lane must never fail a push that the counter
-        // admitted.
+        // admitted. A one-shard queue has no sibling to fall back on (see
+        // push_to_sibling), so its rings get twice that: an admitted push
+        // then laps onto a claimed-but-unreleased slot only if more than
+        // `capacity` other requests were pushed and popped while that one
+        // pop sat between its claim and its release.
+        const std::size_t ring_slots = next_pow2(shards == 1 ? 2 * capacity : capacity);
         for (Shard& shard : shards_) {
-            for (auto& lane : shard.lanes) lane = std::make_unique<Ring>(next_pow2(capacity));
+            for (auto& lane : shard.lanes) lane = std::make_unique<Ring>(ring_slots);
         }
     }
 
@@ -172,8 +177,9 @@ private:
     /// has claimed but not yet released it (the mw::mc evict-vs-pop checks
     /// reach it). The same lane of a sibling shard then takes the node; only
     /// when every shard's ring is stalled that way does the reserved slot
-    /// roll back and the caller refuse. It never blocks. Out of line so the
-    /// admission fast path stays small enough to inline.
+    /// roll back and the caller refuse. A one-shard queue relies on its ring
+    /// slack instead. It never blocks. Out of line so the admission fast
+    /// path stays small enough to inline.
     [[nodiscard, gnu::noinline]] bool push_to_sibling(std::size_t shard, std::size_t lane,
                                                       HotRequest* node) {
         for (std::size_t step = 1; step < shards_.size(); ++step) {

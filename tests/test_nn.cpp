@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <map>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -245,6 +248,37 @@ TEST(Gradients, TinyCnn) {
     gradient_check(model, x, {0, 1, 2}, 3e-3);
 }
 
+TEST(Gradients, AllocatedOnlyForTraining) {
+    Model model = build_model(zoo::mnist_cnn(), 7);
+    std::size_t trainable_layers = 0;
+    for (std::size_t li = 0; li < model.layer_count(); ++li) {
+        const auto bindings = model.layer(li).param_bindings();
+        if (!bindings.empty()) ++trainable_layers;
+        for (const auto& b : bindings) EXPECT_TRUE(b.grad->empty()) << li;
+    }
+    EXPECT_GT(trainable_layers, 1U);  // conv and dense layers alike
+
+    // Backward needs shaped gradients; zero_grads() shapes and zeroes them.
+    const Tensor x(model.input_shape(1));
+    const auto acts = model.forward_collect(x);
+    const std::size_t last = model.layer_count() - 1;
+    Tensor din(acts[last - 1].shape());
+    Tensor din_conv(x.shape());
+    EXPECT_THROW(model.layer(last).backward(acts[last - 1], acts[last], acts[last], din, nullptr),
+                 InvalidArgument);  // dense
+    EXPECT_THROW(model.layer(0).backward(x, acts[0], acts[0], din_conv, nullptr),
+                 InvalidArgument);  // conv
+    for (std::size_t li = 0; li < model.layer_count(); ++li) {
+        model.layer(li).zero_grads();
+        for (const auto& b : model.layer(li).param_bindings()) {
+            EXPECT_EQ(b.grad->shape(), b.value->shape()) << li;
+            for (const float g : b.grad->span()) ASSERT_EQ(g, 0.0F) << li;
+        }
+    }
+    model.layer(last).backward(acts[last - 1], acts[last], acts[last], din, nullptr);
+    model.layer(0).backward(x, acts[0], acts[0], din_conv, nullptr);
+}
+
 // ---- end-to-end training ---------------------------------------------------
 
 TEST(Trainer, LearnsClusters) {
@@ -362,6 +396,61 @@ TEST(Weights, HeInitHasExpectedScale) {
     for (const float w : dense->weights().span()) stats.add(w);
     EXPECT_NEAR(stats.mean(), 0.0, 0.01);
     EXPECT_NEAR(stats.stddev(), std::sqrt(2.0 / 512.0), 0.005);
+}
+
+/// FNV-1a over the raw bytes of every parameter tensor, in binding order.
+std::uint64_t weights_digest(Model& model) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::size_t li = 0; li < model.layer_count(); ++li) {
+        for (const auto& binding : model.layer(li).param_bindings()) {
+            const auto* bytes = reinterpret_cast<const unsigned char*>(binding.value->data());
+            for (std::size_t i = 0; i < binding.value->numel() * sizeof(float); ++i) {
+                h ^= bytes[i];
+                h *= 1099511628211ULL;
+            }
+        }
+    }
+    return h;
+}
+
+// Golden weights: seeded initialisation must draw the same numbers in the
+// same order, so every zoo model built with seed 7 reproduces these digests
+// bit for bit.
+TEST(Weights, GoldenWeightsAreBitIdentical) {
+    const std::map<std::string, std::uint64_t> expected = {
+        // clang-format off
+        {"simple", 0xf14f637e95596b3d},
+        {"mnist-small", 0x9433288c1c667091},
+        {"mnist-deep", 0x19211478c25a2b9a},
+        {"mnist-cnn", 0x6205c1e9a03026d2},
+        {"cifar-10", 0x102197c911fda096},
+        {"ffnn-aug-w64", 0xe79ccb99cb62610d},
+        {"ffnn-aug-w256x2", 0xa937086fe2dc14e6},
+        {"ffnn-aug-w1024", 0xce9bd5496344885c},
+        {"ffnn-aug-w1024x3", 0x64166c7ab5b4559a},
+        {"ffnn-aug-w3000x2", 0x85f350ebce771545},
+        {"ffnn-aug-d4narrow", 0xc4fd27174c1bada9},
+        {"ffnn-aug-d6taper", 0x337211979ba778e9},
+        {"ffnn-aug-tiny", 0xd12c3cd7cfa90b86},
+        {"cnn-aug-b1c1f16", 0x34766aed423a3295},
+        {"cnn-aug-b2c2f32", 0x4da81b8886c41c93},
+        {"cnn-aug-k5f32", 0x0f31dab6904f6d67},
+        {"cnn-aug-b2k5", 0xc15c34b496e58e4a},
+        {"cnn-aug-b3c3", 0x264aeb028286a24b},
+        {"cnn-aug-b4f32", 0x6b56cae388637740},
+        {"cnn-aug-k7f8", 0x9d5d6486cd775c3f},
+        {"cnn-aug-p4f16", 0xfb99cfcdcfd2256d},
+        // clang-format on
+    };
+    std::map<std::string, std::uint64_t> actual;
+    std::ostringstream listing;  // paste-ready table for a deliberate re-record
+    for (const auto& spec : zoo::all_models()) {
+        Model model = build_model(spec, 7);
+        actual[spec.name] = weights_digest(model);
+        listing << "{\"" << spec.name << "\", 0x" << std::hex << actual[spec.name] << std::dec
+                << "},\n";
+    }
+    EXPECT_EQ(actual, expected) << listing.str();
 }
 
 // ---- cost accounting -------------------------------------------------------

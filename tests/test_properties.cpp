@@ -54,8 +54,10 @@ TEST_P(ZooModelProperty, OutputsAreProbabilities) {
     }
 }
 
+// Cost, descriptor and feature cases read only the architecture, so they
+// build weightless models; the forward-pass cases above need seeded weights.
 TEST_P(ZooModelProperty, CostScalesLinearlyWithBatch) {
-    const nn::Model model = nn::build_model(nn::zoo::by_name(GetParam()), 7);
+    const nn::Model model = nn::build_model(nn::zoo::by_name(GetParam()));
     const auto c1 = model.cost(1);
     const auto c16 = model.cost(16);
     EXPECT_GT(c1.total.flops, 0.0);
@@ -68,7 +70,7 @@ TEST_P(ZooModelProperty, CostScalesLinearlyWithBatch) {
 
 TEST_P(ZooModelProperty, DescMatchesSpecFamily) {
     const nn::ModelSpec spec = nn::zoo::by_name(GetParam());
-    const nn::Model model = nn::build_model(spec, 7);
+    const nn::Model model = nn::build_model(spec);
     EXPECT_EQ(model.desc().is_cnn, spec.is_cnn());
     EXPECT_GT(model.desc().total_neurons, 0U);
     EXPECT_GT(model.desc().depth, 0U);
@@ -81,7 +83,7 @@ TEST_P(ZooModelProperty, DescMatchesSpecFamily) {
 }
 
 TEST_P(ZooModelProperty, FeatureExtractionIsFinite) {
-    const nn::Model model = nn::build_model(nn::zoo::by_name(GetParam()), 7);
+    const nn::Model model = nn::build_model(nn::zoo::by_name(GetParam()));
     for (const auto policy :
          {sched::Policy::kMaxThroughput, sched::Policy::kMinLatency,
           sched::Policy::kMinEnergy}) {
@@ -118,11 +120,13 @@ struct DeviceCase {
     const char* model;
 };
 
+/// Devices price a model analytically (profile/measure never run a forward
+/// pass), so the fixture deploys a weightless model.
 class DeviceModelProperty : public ::testing::TestWithParam<DeviceCase> {
 protected:
     DeviceModelProperty() : registry_(device::DeviceRegistry::standard_testbed()) {
         registry_.load_model_everywhere(
-            std::make_shared<nn::Model>(nn::build_model(nn::zoo::by_name(GetParam().model), 7)));
+            std::make_shared<nn::Model>(nn::build_model(nn::zoo::by_name(GetParam().model))));
     }
     device::DeviceRegistry registry_;
 };

@@ -2,10 +2,13 @@
 // oracle, dispatcher, trainer and the online adaptive scheduler.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <set>
 
 #include "ml/random_forest.hpp"
 #include "nn/model_builder.hpp"
+#include "nn/weights.hpp"
 #include "nn/zoo.hpp"
 #include "sched/features.hpp"
 #include "sched/oracle.hpp"
@@ -103,6 +106,76 @@ TEST(DatasetBuilder, SharesSumToOne) {
     double sum = 0.0;
     for (const double s : ds.class_shares()) sum += s;
     EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+/// Run `probe` through `model_name` on every device and require each output
+/// to equal `reference.forward(probe)` bit for bit.
+void expect_devices_serve(device::DeviceRegistry& registry, const std::string& model_name,
+                          const nn::Model& reference, const Tensor& probe) {
+    const Tensor expected = reference.forward(probe);
+    for (device::Device* dev : registry.devices()) {
+        const Tensor out = dev->run(model_name, probe, 0.0).outputs;
+        ASSERT_EQ(out.shape(), expected.shape()) << dev->name();
+        EXPECT_EQ(std::memcmp(out.data(), expected.data(), out.numel() * sizeof(float)), 0)
+            << dev->name() << " serves weights other than the deployed model's";
+    }
+}
+
+Tensor probe_batch(const nn::Model& model) {
+    Rng rng(3);
+    Tensor probe(model.input_shape(8));
+    probe.fill_uniform(rng, 0.0F, 1.0F);
+    return probe;
+}
+
+TEST(DatasetBuilder, ProfilesTheDeployedInstance) {
+    auto registry = device::DeviceRegistry::standard_testbed();
+    Dispatcher dispatcher(registry);
+    dispatcher.register_model(nn::zoo::simple(), /*weight_seed=*/1);  // not model_seed
+    dispatcher.deploy_all();
+    const auto ds = build_scheduler_dataset(registry, {nn::zoo::simple()}, small_config());
+
+    const nn::Model& deployed = dispatcher.model("simple");
+    for (device::Device* dev : registry.devices()) {
+        EXPECT_EQ(&dev->model("simple"), &deployed) << dev->name();
+    }
+    expect_devices_serve(registry, "simple", deployed, probe_batch(deployed));
+
+    // Profiling reads the architecture only, so the rows equal those of a
+    // registry on which the builder deployed its own seeded model.
+    auto fresh = device::DeviceRegistry::standard_testbed();
+    const auto built = build_scheduler_dataset(fresh, {nn::zoo::simple()}, small_config());
+    EXPECT_EQ(ds.data.x, built.data.x);
+    EXPECT_EQ(ds.data.y, built.data.y);
+}
+
+TEST(DatasetBuilder, KeepsWeightsLoadedFromAFile) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "mw_test_sched_simple.weights").string();
+    const nn::Model trained = nn::build_model(nn::zoo::simple(), 42);
+    nn::save_weights(trained, path);
+
+    auto registry = device::DeviceRegistry::standard_testbed();
+    Dispatcher dispatcher(registry);
+    dispatcher.register_model(nn::zoo::simple(), /*weight_seed=*/999);
+    dispatcher.load_weights_from("simple", path);
+    std::filesystem::remove(path);
+    dispatcher.deploy("simple");
+    (void)build_scheduler_dataset(registry, {nn::zoo::simple()}, small_config());
+
+    expect_devices_serve(registry, "simple", trained, probe_batch(trained));
+}
+
+TEST(DatasetBuilder, RejectsAModelDeployedOnSomeDevices) {
+    auto registry = device::DeviceRegistry::standard_testbed();
+    registry.at("uhd630").load_model(
+        std::make_shared<nn::Model>(nn::build_model(nn::zoo::simple(), 1)));
+    try {
+        (void)build_scheduler_dataset(registry, {nn::zoo::simple()}, small_config());
+        FAIL() << "a partially deployed model was profiled";
+    } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("`simple`"), std::string::npos) << e.what();
+    }
 }
 
 TEST(Oracle, AgreesWithExhaustiveScan) {

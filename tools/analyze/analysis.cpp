@@ -222,7 +222,7 @@ AnalyzerConfig default_config() {
          "use MW_CHECK (precondition) or MW_ASSERT / MW_DCHECK (invariant); NDEBUG "
          "silently compiles assert out",
          Qual::kAny, Follow::kCall},
-        {"raw-abort", "src/", {"src/common/error.hpp"}, {"abort", "exit"},
+        {"raw-abort", "src/", {"src/common/error.hpp"}, {"abort", "exit", "quick_exit", "_Exit"},
          "fatal paths go through the MW_* macros in common/error.hpp so they print where and why",
          Qual::kStdOrNone, Follow::kCall},
         {"time-arith-confined", "src/", clock_home, {"chrono"}, clock_why, Qual::kStd},
@@ -591,13 +591,24 @@ AnalysisResult analyze(Program& prog, const AnalyzerConfig& cfg) {
                 const Token* ns = scoped && ti >= 2 ? &(*toks)[ti - 2] : nullptr;
                 const bool std_scoped = ns != nullptr && ns->kind == Tok::kIdent &&
                                         (ns->text == "std" || ns->text == "stdsync");
+                // `::name`: no scope name before the `::` (`return ::exit(1)`
+                // counts; `T<U>::name` names a class member).
+                const bool global_scoped =
+                    scoped && (ns == nullptr || ns->text == "return" ||
+                               (ns->kind == Tok::kPunct && ns->text != ">"));
                 for (const ConfinementRule* rule : rules) {
                     if (!bans(*rule, t.text)) continue;
                     if (rule->qual == Qual::kStd && !std_scoped) continue;
-                    if (rule->qual == Qual::kStdOrNone && scoped && !std_scoped) continue;
+                    if (rule->qual == Qual::kStdOrNone && scoped && !std_scoped &&
+                        !global_scoped) {
+                        continue;
+                    }
                     if (rule->follow == Follow::kCall && !punct_at(ti + 1, "(")) continue;
                     if (rule->follow == Follow::kNotScope && punct_at(ti + 1, "::")) continue;
-                    report(t.line, *rule, std_scoped ? ns->text + "::" + t.text : t.text);
+                    report(t.line, *rule,
+                           std_scoped      ? ns->text + "::" + t.text
+                           : global_scoped ? "::" + t.text
+                                           : t.text);
                 }
             }
         }

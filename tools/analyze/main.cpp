@@ -31,7 +31,8 @@ const char kUsage[] =
     "                           common/sync.hpp (use mw::Mutex, mw::CondVar)\n"
     "  raw-assert               no assert() or <cassert> in src/ (use MW_CHECK,\n"
     "                           MW_ASSERT, MW_DCHECK)\n"
-    "  raw-abort                abort()/exit() only in common/error.hpp\n"
+    "  raw-abort                abort()/exit()/quick_exit()/_Exit() only in\n"
+    "                           common/error.hpp\n"
     "  time-arith-confined      std::chrono and clock reads only in\n"
     "                           common/timer.hpp and common/sync.hpp\n"
     "  clock-confinement        no Stopwatch/WallClock in the clock-injected tiers\n"

@@ -110,7 +110,7 @@ struct Finding {
 enum class Qual {
     kAny,        // any spelling: `assert`, `x::assert`
     kStd,        // only `std::name` (or `stdsync::name`, sync.hpp's alias of ::std)
-    kStdOrNone,  // `name` or `std::name`, but not `other::name`
+    kStdOrNone,  // `name`, `::name` or `std::name`, but not `other::name`
 };
 
 /// What must follow a banned identifier for it to count.
