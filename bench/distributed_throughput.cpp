@@ -88,8 +88,11 @@ struct Fleet {
         }
     }
 
-    /// Advance the simulated clock only while the fleet makes no progress;
-    /// sim time stays decoupled from how long the host takes to compute.
+    /// Advance the simulated clock only while the fleet makes no progress
+    /// and no node holds a request (nothing queued, nothing executing): sim
+    /// time stays decoupled from how long the host takes to compute, so a
+    /// busy host cannot expire attempts at nodes that are still serving
+    /// them. A killed node drains what it holds and then counts as idle.
     bool drive(std::uint64_t target, double step = 0.002, double budget_s = 120.0) {
         const double limit = clock.now() + budget_s;
         std::uint64_t last = router->counters().terminal();
@@ -97,8 +100,15 @@ struct Fleet {
             if (clock.now() > limit) return false;
             sleep_for_seconds(0.0003);
             const std::uint64_t done = router->counters().terminal();
-            if (done == last) clock.advance(step);
+            if (done == last && servers_idle()) clock.advance(step);
             last = done;
+        }
+        return true;
+    }
+
+    [[nodiscard]] bool servers_idle() const {
+        for (const auto& node : nodes) {
+            if (node->server().pool_live() != 0) return false;
         }
         return true;
     }

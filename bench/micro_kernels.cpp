@@ -1,15 +1,7 @@
 // google-benchmark microbenchmarks of the real inference kernels that every
-// device executes (GEMM, convolution, pooling, full-model forward passes),
-// plus the serving hot path's ring primitives — there the interesting number
-// is the cross-core handoff rate, and the padded-vs-unpadded pair puts a
-// figure on what the alignas(kCacheLineBytes) separation of the producer
-// and consumer cursors buys (DESIGN.md §15).
+// device executes (GEMM, convolution, pooling, full-model forward passes).
 #include <benchmark/benchmark.h>
 
-#include <thread>
-
-#include "common/spsc_ring.hpp"
-#include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -21,74 +13,6 @@
 namespace {
 
 using namespace mw;
-
-/// Bench-local ring identical in protocol to mw::SpscRing but with the
-/// cursors and slots packed together — the layout the alignas fix replaced.
-/// Kept here (not as a template knob on the real ring) so production code
-/// cannot instantiate the false-sharing variant.
-class UnpaddedSpscRing {
-public:
-    explicit UnpaddedSpscRing(std::size_t capacity)
-        : buffer_(capacity + 1), capacity_(capacity + 1) {}
-
-    [[nodiscard]] bool try_push(int value) {
-        const std::size_t head = head_.load(std::memory_order_relaxed);
-        const std::size_t next = (head + 1) % capacity_;
-        if (next == tail_.load(std::memory_order_acquire)) return false;
-        buffer_[head] = value;
-        head_.store(next, std::memory_order_release);
-        return true;
-    }
-
-    [[nodiscard]] bool try_pop(int& out) {
-        const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        if (tail == head_.load(std::memory_order_acquire)) return false;
-        out = buffer_[tail];
-        tail_.store((tail + 1) % capacity_, std::memory_order_release);
-        return true;
-    }
-
-private:
-    Atomic<std::size_t> head_{0};  // deliberately adjacent: shares a line
-    Atomic<std::size_t> tail_{0};  // with head_ and the first slots
-    std::vector<int> buffer_;
-    std::size_t capacity_;
-};
-
-/// Cross-core handoff: a producer thread pushes as fast as the ring accepts
-/// while the bench thread pops. Items/s is the sustained transfer rate; the
-/// padded mw::SpscRing vs the packed layout above isolates the false-sharing
-/// cost the alignas separation removes.
-template <typename Ring>
-void spsc_handoff(benchmark::State& state) {
-    Ring ring(1024);
-    Atomic<bool> stop{false};
-    std::thread producer([&] {
-        int i = 0;
-        while (!stop.load(std::memory_order_acquire)) {
-            if (ring.try_push(i)) ++i;
-        }
-    });
-    std::int64_t popped = 0;
-    for (auto _ : state) {
-        int v = 0;
-        if (ring.try_pop(v)) {
-            benchmark::DoNotOptimize(v);
-            ++popped;
-        }
-    }
-    stop.store(true, std::memory_order_release);
-    producer.join();
-    state.SetItemsProcessed(popped);
-}
-
-void BM_SpscRing(benchmark::State& state) { spsc_handoff<SpscRing<int>>(state); }
-BENCHMARK(BM_SpscRing);
-
-void BM_SpscRingUnpadded(benchmark::State& state) {
-    spsc_handoff<UnpaddedSpscRing>(state);
-}
-BENCHMARK(BM_SpscRingUnpadded);
 
 void BM_GemmBt(benchmark::State& state) {
     const auto m = static_cast<std::size_t>(state.range(0));
@@ -145,23 +69,6 @@ void BM_Conv2d(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * batch);
 }
 BENCHMARK(BM_Conv2d)->Arg(1)->Arg(8);
-
-void BM_Conv2dIm2col(benchmark::State& state) {
-    const auto batch = static_cast<std::size_t>(state.range(0));
-    nn::Conv2d conv(3, 32, 3, nn::Activation::kRelu);
-    conv.set_algorithm(nn::ConvAlgorithm::kIm2col);
-    Rng rng(2);
-    conv.weights().fill_normal(rng, 0.0F, 0.1F);
-    Tensor in(Shape{batch, 3, 32, 32});
-    in.fill_uniform(rng, 0.0F, 1.0F);
-    Tensor out(Shape{batch, 32, 32, 32});
-    for (auto _ : state) {
-        conv.forward(in, out, nullptr);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * batch);
-}
-BENCHMARK(BM_Conv2dIm2col)->Arg(1)->Arg(8);
 
 void BM_MaxPool(benchmark::State& state) {
     const auto batch = static_cast<std::size_t>(state.range(0));

@@ -21,7 +21,7 @@ Node::Node(NodeConfig config, const ModelBundle& bundle, const Clock& clock,
            Transport& transport)
     : config_(std::move(config)), clock_(&clock), transport_(&transport),
       registry_(device::DeviceRegistry::standard_testbed()),
-      pool_(config_.completion_workers == 0 ? 1 : config_.completion_workers) {
+      pool_(1) {
     MW_CHECK(!config_.name.empty(), "Node: name must be non-empty");
     dispatcher_ = std::make_unique<sched::Dispatcher>(registry_);
     for (const nn::ModelSpec& spec : bundle.specs) {
@@ -40,11 +40,7 @@ Node::Node(NodeConfig config, const ModelBundle& bundle, const Clock& clock,
     server_ = std::make_unique<serve::Server>(*scheduler_, *dispatcher_, clock,
                                               config_.server);
 
-    const std::size_t workers = pool_.size();
-    workers_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-        workers_.push_back(pool_.submit([this] { completion_loop(); }));
-    }
+    completion_worker_ = pool_.submit([this] { completion_loop(); });
     transport_->register_endpoint(config_.name,
                                   [this](const std::string& from, const Frame& frame) {
                                       handle_frame(from, frame);
@@ -159,12 +155,11 @@ void Node::stop() {
         stopped_ = true;
     }
     // Resolve every outstanding future (drain or fail over per the server's
-    // drain_on_stop), so the completion workers can flush their queue and
+    // drain_on_stop), so the completion worker can flush its queue and
     // exit without blocking in future.get().
     server_->stop();
     activity_.notify_all();
-    for (auto& worker : workers_) worker.get();
-    workers_.clear();
+    completion_worker_.get();
 }
 
 }  // namespace mw::cluster

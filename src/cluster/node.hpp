@@ -15,7 +15,7 @@
 // its own clock just timestamps its spans on its own timeline.
 //
 // Thread safety: handle_frame() runs on transport delivery threads and
-// completion_loop() on the node's own pool; one mutex (rank kClusterNode,
+// completion_loop() on the node's own one-thread pool; one mutex (rank kClusterNode,
 // held across Server::submit — the documented cluster -> serve chain)
 // guards the completion queue.
 #pragma once
@@ -56,8 +56,7 @@ struct ModelBundle {
 struct NodeConfig {
     std::string name = "node";
     serve::ServerConfig server{};
-    std::size_t completion_workers = 1;
-    /// Idle re-check period for the completion workers, real time.
+    /// Idle re-check period for the completion worker, real time.
     double completion_poll_s = 0.002;
     std::uint64_t weight_seed = 7;
     ml::ForestConfig forest{.n_estimators = 8, .seed = 2};
@@ -94,7 +93,7 @@ public:
     }
 
     /// Stop serving: drains the server, flushes queued completions, joins
-    /// the completion workers. Idempotent.
+    /// the completion worker. Idempotent.
     void stop();
 
 private:
@@ -126,8 +125,8 @@ private:
     Atomic<std::uint64_t> accepted_{0};
     Atomic<std::uint64_t> refused_{0};
 
-    ThreadPool pool_;
-    std::vector<std::future<void>> workers_;
+    ThreadPool pool_;  ///< one thread: the completion worker
+    std::future<void> completion_worker_;
 };
 
 }  // namespace mw::cluster

@@ -1,9 +1,8 @@
 // MpmcRing: a bounded multi-producer/multi-consumer ring buffer in the
-// Vyukov style — the steal-capable sibling of SpscRing and the per-lane
-// storage of the serving hot path (ROADMAP item 2). "Steal" is just a
-// dequeue issued by a non-owner thread: the per-slot sequence numbers make
-// every dequeue safe against every other, so work-stealing needs no extra
-// protocol on top.
+// Vyukov style — the per-lane storage of the serving hot path. "Steal" is
+// just a dequeue issued by a non-owner thread: the per-slot sequence numbers
+// make every dequeue safe against every other, so work-stealing needs no
+// extra protocol on top.
 //
 // Protocol: each slot carries a sequence counter. A slot is free for the
 // producer at position `pos` when seq == pos, and holds data for the
@@ -102,7 +101,7 @@ public:
 
     /// Approximate occupancy: the two cursors are loaded separately while
     /// other threads advance them, so the raw difference can transiently
-    /// wrap or overshoot; clamped to [0, capacity()] like SpscRing::size().
+    /// wrap or overshoot; clamped to [0, capacity()].
     [[nodiscard]] std::size_t size() const {
         const std::size_t enq = enqueue_pos_.load(std::memory_order_acquire);
         const std::size_t deq = dequeue_pos_.load(std::memory_order_acquire);

@@ -1,7 +1,7 @@
 // mw::mc — a deterministic, schedule-exploring concurrency model checker in
 // the spirit of loom/relacy, sized for the handful of lock-free protocols in
 // this repo (the obs span ring, the breaker half-open gate, the server
-// lifecycle flags, the SPSC ring that seeds the lock-free hot path).
+// lifecycle flags, the serving hot path's MPMC ring and epoch cell).
 //
 // How it works (see DESIGN.md §12 for the full story):
 //
@@ -30,7 +30,7 @@
 //   mc::Options options;
 //   options.strategy = mc::Strategy::kExhaustive;
 //   mc::Result r = mc::check(options, [](mc::Sim& sim) {
-//       auto q = std::make_shared<SpscRing<int>>(4);
+//       auto q = std::make_shared<MpmcRing<int>>(4);
 //       sim.thread([q] { while (!q->try_push(7)) {} });
 //       sim.thread([q] { int v; while (!q->try_pop(v)) {} MC_ASSERT(v == 7); });
 //       sim.join_all();

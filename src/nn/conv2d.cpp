@@ -1,9 +1,11 @@
 #include "nn/conv2d.hpp"
 
-#include "common/format.hpp"
+#include <algorithm>
 
 #include "common/error.hpp"
+#include "common/format.hpp"
 #include "nn/im2col.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace mw::nn {
 
@@ -32,49 +34,26 @@ Shape Conv2d::output_shape(const Shape& input) const {
 
 void Conv2d::forward(const Tensor& in, Tensor& out, ThreadPool* pool) const {
     MW_CHECK(out.shape() == output_shape(in.shape()), "Conv2d output tensor has wrong shape");
-    if (algorithm_ == ConvAlgorithm::kIm2col) {
-        conv2d_im2col(in, weights_, bias_, out, pool);
-        apply_activation(act_, out);
-        return;
-    }
     const std::size_t batch = in.shape()[0];
     const std::size_t h = in.shape()[2];
     const std::size_t w = in.shape()[3];
-    const auto pad = static_cast<std::ptrdiff_t>(k_ / 2);
-    const std::size_t in_plane = h * w;
-    const std::size_t out_plane = h * w;
+    const std::size_t plane = h * w;
+    const std::size_t patch_rows = in_channels_ * k_ * k_;
 
+    // out_b (filters x plane) = bias + W (filters x patch_rows) * columns:
+    // every output sums its bias, then the taps in (c, ky, kx) order.
     auto run_sample = [&](std::size_t b) {
-        const float* in_base = in.data() + b * in_channels_ * in_plane;
-        float* out_base = out.data() + b * filters_ * out_plane;
+        Tensor columns(Shape{patch_rows, plane});
+        im2col_same(in.data() + b * in_channels_ * plane, in_channels_, h, w, k_, columns);
+        float* out_base = out.data() + b * filters_ * plane;
         for (std::size_t f = 0; f < filters_; ++f) {
-            const float* w_filter = weights_.data() + f * in_channels_ * k_ * k_;
-            float* out_ch = out_base + f * out_plane;
-            const float fb = bias_.at(f);
-            for (std::size_t y = 0; y < h; ++y) {
-                for (std::size_t x = 0; x < w; ++x) {
-                    float acc = fb;
-                    for (std::size_t c = 0; c < in_channels_; ++c) {
-                        const float* in_ch = in_base + c * in_plane;
-                        const float* w_ch = w_filter + c * k_ * k_;
-                        for (std::size_t ky = 0; ky < k_; ++ky) {
-                            const auto yy = static_cast<std::ptrdiff_t>(y + ky) - pad;
-                            if (yy < 0 || yy >= static_cast<std::ptrdiff_t>(h)) continue;
-                            for (std::size_t kx = 0; kx < k_; ++kx) {
-                                const auto xx = static_cast<std::ptrdiff_t>(x + kx) - pad;
-                                if (xx < 0 || xx >= static_cast<std::ptrdiff_t>(w)) continue;
-                                acc += w_ch[ky * k_ + kx] *
-                                       in_ch[static_cast<std::size_t>(yy) * w +
-                                             static_cast<std::size_t>(xx)];
-                            }
-                        }
-                    }
-                    out_ch[y * w + x] = acc;
-                }
-            }
+            std::fill_n(out_base + f * plane, plane, bias_.at(f));
         }
+        gemm_accumulate(weights_.data(), columns.data(), out_base, filters_, patch_rows, plane);
     };
 
+    // Samples spread over the pool; the per-sample GEMM runs serially, so
+    // parallel_for never nests on one pool.
     if (pool && batch > 1) {
         pool->parallel_for(0, batch, run_sample, 1);
     } else {

@@ -6,12 +6,10 @@
 
 namespace mw::nn {
 
-/// Convolution kernel implementation choice (§IV-B discusses such kernel /
-/// layout trade-offs): direct loops vs im2col + GEMM lowering.
-enum class ConvAlgorithm { kDirect, kIm2col };
-
 /// Convolution with square filters and same-padding, as used by the paper's
 /// VGG blocks (3x3x32 filters). Weight layout: (filters, in_ch, k, k).
+/// forward() lowers each sample with im2col_same (nn/im2col.hpp) and runs
+/// the product through mw::gemm_accumulate.
 class Conv2d final : public Layer {
 public:
     Conv2d(std::size_t in_channels, std::size_t filters, std::size_t filter_size, Activation act);
@@ -32,11 +30,6 @@ public:
     [[nodiscard]] Tensor& weights() { return weights_; }
     [[nodiscard]] Tensor& bias() { return bias_; }
 
-    /// Select the forward-pass implementation (results are identical up to
-    /// float rounding; see tests/test_nn.cpp).
-    void set_algorithm(ConvAlgorithm algorithm) { algorithm_ = algorithm; }
-    [[nodiscard]] ConvAlgorithm algorithm() const { return algorithm_; }
-
 private:
     std::size_t in_channels_;
     std::size_t filters_;
@@ -46,7 +39,6 @@ private:
     Tensor bias_;     ///< (filters)
     Tensor grad_weights_;  ///< same shape as weights_ once zero_grads() ran
     Tensor grad_bias_;
-    ConvAlgorithm algorithm_ = ConvAlgorithm::kDirect;
 };
 
 }  // namespace mw::nn

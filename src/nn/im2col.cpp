@@ -42,48 +42,4 @@ void im2col_same(const float* input, std::size_t in_ch, std::size_t h, std::size
     }
 }
 
-void conv2d_im2col(const Tensor& in, const Tensor& weights, const Tensor& bias, Tensor& out,
-                   ThreadPool* pool) {
-    MW_CHECK(in.shape().rank() == 4 && weights.shape().rank() == 4,
-             "conv2d_im2col expects rank-4 input and weights");
-    const std::size_t batch = in.shape()[0];
-    const std::size_t in_ch = in.shape()[1];
-    const std::size_t h = in.shape()[2];
-    const std::size_t w = in.shape()[3];
-    const std::size_t filters = weights.shape()[0];
-    const std::size_t k = weights.shape()[2];
-    MW_CHECK(weights.shape()[1] == in_ch && weights.shape()[3] == k,
-             "weight shape mismatch");
-    MW_CHECK(bias.numel() == filters, "bias size mismatch");
-    MW_CHECK(out.shape() == Shape({batch, filters, h, w}), "output shape mismatch");
-
-    const std::size_t patch_rows = in_ch * k * k;
-    const std::size_t plane = h * w;
-
-    auto run_sample = [&](std::size_t b) {
-        Tensor columns(Shape{patch_rows, plane});
-        im2col_same(in.data() + b * in_ch * plane, in_ch, h, w, k, columns);
-        // out[b] (filters x plane) = W (filters x patch_rows) * columns.
-        float* out_base = out.data() + b * filters * plane;
-        for (std::size_t f = 0; f < filters; ++f) {
-            const float* w_row = weights.data() + f * patch_rows;
-            float* out_row = out_base + f * plane;
-            const float fb = bias.at(f);
-            for (std::size_t x = 0; x < plane; ++x) out_row[x] = fb;
-            for (std::size_t r = 0; r < patch_rows; ++r) {
-                const float wv = w_row[r];
-                if (wv == 0.0F) continue;
-                const float* col_row = columns.data() + r * plane;
-                for (std::size_t x = 0; x < plane; ++x) out_row[x] += wv * col_row[x];
-            }
-        }
-    };
-
-    if (pool && batch > 1) {
-        pool->parallel_for(0, batch, run_sample, 1);
-    } else {
-        for (std::size_t b = 0; b < batch; ++b) run_sample(b);
-    }
-}
-
 }  // namespace mw::nn

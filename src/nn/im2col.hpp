@@ -1,11 +1,9 @@
-// im2col + GEMM convolution: the classical alternative formulation of the
-// convolution kernel (§IV-B of the paper weighs such layout/kernel choices).
-// Lowering the input into a patch matrix turns the convolution into one
-// large GEMM, which vectorises far better than the direct loops for wide
-// filter banks at the cost of materialising the patch matrix.
+// im2col lowering for Conv2d::forward (§IV-B of the paper weighs such
+// layout/kernel choices). Lowering the input into a patch matrix turns the
+// convolution into one GEMM per sample, which vectorises across the output
+// plane at the cost of materialising the patch matrix.
 #pragma once
 
-#include "common/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mw::nn {
@@ -14,12 +12,5 @@ namespace mw::nn {
 /// `columns` of shape (in_ch * k * k, h * w). `k` must be odd.
 void im2col_same(const float* input, std::size_t in_ch, std::size_t h, std::size_t w,
                  std::size_t k, Tensor& columns);
-
-/// Convolution via im2col + GEMM; drop-in equivalent of Conv2d::forward for
-/// stride-1 same-padded convolutions. `weights` is (filters, in_ch, k, k),
-/// `bias` is (filters); `out` must be (batch, filters, h, w). The result
-/// matches the direct kernels to float rounding.
-void conv2d_im2col(const Tensor& in, const Tensor& weights, const Tensor& bias, Tensor& out,
-                   ThreadPool* pool = nullptr);
 
 }  // namespace mw::nn

@@ -34,6 +34,10 @@ Tensor slice_rows(const Tensor& outputs, std::size_t row_offset, std::size_t row
 /// injected ManualClock can get and how long shutdown can lag behind close().
 constexpr double kIdleSliceS = 0.0005;
 
+/// Per-worker executed batches between scheduler-snapshot republishes
+/// (bounds how stale the GPU-warm feature and the model table get).
+constexpr std::size_t kSnapshotRefreshBatches = 64;
+
 /// The constructor's argument checks, run before any member is built from
 /// the config.
 ServerConfig checked(ServerConfig config) {
@@ -189,13 +193,10 @@ Server::GraphRunResult Server::run_graph(const graph::Graph& graph, sched::Polic
                              graph::format_violations(violations));
         }
     };
-    if (config_.verify_graph_plans) check(out.planned, "planned");
-
+    check(out.planned, "planned");
     out.executed = dispatcher_->run_schedule(graph, out.planned, now);
-    if (config_.verify_graph_plans) {
-        check(out.executed, "executed");
-        out.verified = true;
-    }
+    check(out.executed, "executed");
+    out.verified = true;
 
     graph_metrics_.runs.inc();
     graph_metrics_.steps.inc(out.executed.steps.size());
@@ -583,7 +584,7 @@ void Server::execute(Worker& w, double dispatch_now) {
                                              leader->model_name, w.input,
                                              dispatch_now, submit_options);
                 served_by = &dispatcher_->registry().at(decision.device_name).name();
-                w.batches_since_refresh = config_.hot_path.snapshot_refresh_batches;
+                w.batches_since_refresh = kSnapshotRefreshBatches;
             }
         }
     } catch (const std::exception& e) {
@@ -740,7 +741,7 @@ void Server::worker_loop(std::size_t worker_index) {
         w.batch_samples = 0;
         inflight_.fetch_sub(1, std::memory_order_acq_rel);
         ++w.batches_since_refresh;
-        if (w.batches_since_refresh >= config_.hot_path.snapshot_refresh_batches) {
+        if (w.batches_since_refresh >= kSnapshotRefreshBatches) {
             w.batches_since_refresh = 0;
             refresh_snapshot();
         }

@@ -77,9 +77,6 @@ struct HotPathConfig {
     /// HotRequest arena size; 0 sizes it from queue capacity + worker-held
     /// batches + slack. Exhaustion sheds (kRejectedFull), never allocates.
     std::size_t pool_capacity = 0;
-    /// Per-worker executed batches between scheduler-snapshot republishes
-    /// (bounds how stale the GPU-warm feature and the model table get).
-    std::size_t snapshot_refresh_batches = 64;
     /// Per-worker executed batches between stats-shard flushes into the
     /// shared registry. The default (1) flushes once per batch, before its
     /// responses publish, so a client that has seen its response also sees
@@ -104,10 +101,6 @@ struct ServerConfig {
     /// queue deterministically before any worker runs, then call start().
     bool start_on_construction = true;
     ResilienceConfig resilience{};
-    /// Run the independent schedule verifier over every DAG plan before and
-    /// after execution (run_graph throws StateError on an infeasible plan —
-    /// a planner bug — instead of silently booking impossible work).
-    bool verify_graph_plans = true;
 };
 
 /// One-shot lifecycle: construct (optionally start()), serve, stop(); a
@@ -173,7 +166,10 @@ public:
     };
 
     /// Plan, verify and execute an operator DAG at the server's current
-    /// time (policy kMinEnergy optimises energy, others makespan). Planning
+    /// time (policy kMinEnergy optimises energy, others makespan). The
+    /// independent schedule verifier checks the plan before and the booked
+    /// schedule after execution; a violation (a planner bug) throws
+    /// StateError instead of silently booking impossible work. Planning
     /// happens OUTSIDE scheduler_mutex_: the planner's cache lock ranks
     /// BELOW kScheduler by design, and plan_graph only touches internally
     /// synchronised state (planner cache, registry, devices). Safe to call

@@ -9,23 +9,6 @@ namespace {
 
 constexpr std::size_t kParallelRowThreshold = 16;
 
-void gemm_rows(const float* a, const float* b, float* c, std::size_t row_begin,
-               std::size_t row_end, std::size_t k, std::size_t n) {
-    // i-k-j loop order: the innermost loop streams both B and C rows, which
-    // vectorises cleanly.
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-        float* c_row = c + i * n;
-        std::fill_n(c_row, n, 0.0F);
-        const float* a_row = a + i * k;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const float a_ik = a_row[kk];
-            if (a_ik == 0.0F) continue;
-            const float* b_row = b + kk * n;
-            for (std::size_t j = 0; j < n; ++j) c_row[j] += a_ik * b_row[j];
-        }
-    }
-}
-
 void gemm_bt_rows(const float* a, const float* bt, float* c, std::size_t row_begin,
                   std::size_t row_end, std::size_t k, std::size_t n) {
     for (std::size_t i = row_begin; i < row_end; ++i) {
@@ -42,6 +25,22 @@ void gemm_bt_rows(const float* a, const float* bt, float* c, std::size_t row_beg
 
 }  // namespace
 
+void gemm_accumulate(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
+                     std::size_t n) {
+    // i-k-j loop order: the innermost loop streams both B and C rows, which
+    // vectorises cleanly.
+    for (std::size_t i = 0; i < m; ++i) {
+        float* c_row = c + i * n;
+        const float* a_row = a + i * k;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const float a_ik = a_row[kk];
+            if (a_ik == 0.0F) continue;
+            const float* b_row = b + kk * n;
+            for (std::size_t j = 0; j < n; ++j) c_row[j] += a_ik * b_row[j];
+        }
+    }
+}
+
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool) {
     MW_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2 && c.shape().rank() == 2,
              "gemm requires rank-2 tensors");
@@ -51,12 +50,13 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, ThreadPool* pool) {
     MW_CHECK(b.shape()[0] == k, "gemm inner dimension mismatch");
     MW_CHECK(c.shape()[0] == m && c.shape()[1] == n, "gemm output shape mismatch");
 
+    c.fill(0.0F);
     if (pool && m >= kParallelRowThreshold) {
         pool->parallel_for(0, m, [&](std::size_t i) {
-            gemm_rows(a.data(), b.data(), c.data(), i, i + 1, k, n);
+            gemm_accumulate(a.data() + i * k, b.data(), c.data() + i * n, 1, k, n);
         }, std::max<std::size_t>(1, m / (pool->size() * 4)));
     } else {
-        gemm_rows(a.data(), b.data(), c.data(), 0, m, k, n);
+        gemm_accumulate(a.data(), b.data(), c.data(), m, k, n);
     }
 }
 

@@ -1,6 +1,6 @@
 // Model-check suite: runs the mw::mc schedule explorer against the repo's
-// lock-free protocols (SPSC ring; the serving path's MPMC steal ring,
-// sharded-queue eviction and epoch snapshot cell; breaker half-open gate,
+// lock-free protocols (the serving path's MPMC steal ring, sharded-queue
+// eviction and epoch snapshot cell; breaker half-open gate,
 // server lifecycle flags, trace span ring) plus the mutation proofs the
 // checker exists for — rings/cells/queues with
 // weakened memory orders and a probe gate with its CAS replaced by
@@ -31,7 +31,6 @@
 
 #include "common/epoch_cell.hpp"
 #include "common/mpmc_ring.hpp"
-#include "common/spsc_ring.hpp"
 #include "common/sync.hpp"
 #include "common/timer.hpp"
 #include "fault/health.hpp"
@@ -72,69 +71,6 @@ void dump_artifact(const char* test, const Result& result) {
 }
 
 // ---------------------------------------------------------------------------
-// SPSC ring
-// ---------------------------------------------------------------------------
-
-/// Producer pushes 0,1,2 through a capacity-2 ring (so slot reuse is
-/// exercised); consumer drains what it can. Attempts are bounded — an
-/// unbounded spin would (correctly) trip the step budget on schedules where
-/// the peer never runs. Invariant: the popped values are an in-order prefix
-/// of the pushed sequence.
-template <typename Ring>
-void spsc_body(Sim& sim) {
-    auto ring = std::make_shared<Ring>(2);
-    sim.thread([ring] {
-        for (int i = 0; i < 3; ++i) {
-            for (int attempt = 0; attempt < 2; ++attempt) {
-                if (ring->try_push(int{i})) break;
-            }
-        }
-    });
-    sim.thread([ring] {
-        std::vector<int> got;
-        for (int attempt = 0; attempt < 6; ++attempt) {
-            int v = -1;
-            if (ring->try_pop(v)) got.push_back(v);
-        }
-        for (std::size_t j = 0; j < got.size(); ++j) {
-            MC_ASSERT_MSG(got[j] == static_cast<int>(j),
-                          "SPSC ring broke FIFO order");
-        }
-    });
-    sim.join_all();
-}
-
-void spsc_body_correct(Sim& sim) { spsc_body<mw::SpscRing<int>>(sim); }
-
-/// The mutation the checker must catch: indices published/consumed relaxed,
-/// so nothing orders the slot write against the slot read.
-using RelaxedRing =
-    mw::SpscRing<int, std::memory_order_relaxed, std::memory_order_relaxed>;
-void spsc_body_relaxed(Sim& sim) { spsc_body<RelaxedRing>(sim); }
-
-TEST(McSpscRing, ExhaustivePassesWithAcquireRelease) {
-    const Result r = mw::mc::check(exhaustive(), spsc_body_correct);
-    EXPECT_FALSE(r.failed) << r.message;
-    EXPECT_TRUE(r.exhausted) << "state space unexpectedly large: " << r.schedules;
-    EXPECT_GT(r.schedules, 1u);
-}
-
-TEST(McSpscRing, RelaxedOrderMutationIsCaughtAndReplays) {
-    const Result r = mw::mc::check(exhaustive(), spsc_body_relaxed);
-    ASSERT_TRUE(r.failed) << "weakened ring escaped " << r.schedules << " schedules";
-    EXPECT_NE(r.message.find("data race"), std::string::npos) << r.message;
-    EXPECT_NE(r.message.find("SpscRing slot"), std::string::npos) << r.message;
-    ASSERT_FALSE(r.failing_trace.empty());
-
-    // The printed trace replays the exact schedule: same failure, same picks
-    // (messages embed heap addresses, which may vary between runs).
-    const Result again = mw::mc::replay(exhaustive(), r, spsc_body_relaxed);
-    ASSERT_TRUE(again.failed);
-    EXPECT_NE(again.message.find("data race"), std::string::npos) << again.message;
-    EXPECT_EQ(again.failing_trace, r.failing_trace);
-}
-
-// ---------------------------------------------------------------------------
 // MPMC ring: steal (non-owner dequeue) racing the owner's pop
 // ---------------------------------------------------------------------------
 
@@ -142,10 +78,11 @@ TEST(McSpscRing, RelaxedOrderMutationIsCaughtAndReplays) {
 /// dequeue concurrently — on MpmcRing a steal IS a pop issued from another
 /// thread, so two racing consumers exercise the entire steal protocol.
 /// Capacity covers both pushes, so the producer never spins on a full ring;
-/// consumer attempts are bounded for the same step-budget reason as the
-/// SPSC body. Invariants: each consumer's own values arrive in claim order,
-/// and across both consumers plus the post-join drain every pushed value is
-/// consumed exactly once — a double-claimed slot (the steal bug the per-slot
+/// consumer attempts are bounded, since an unbounded spin would (correctly)
+/// trip the step budget on schedules where the producer never runs.
+/// Invariants: each consumer's own values arrive in claim order, and across
+/// both consumers plus the post-join drain every pushed value is consumed
+/// exactly once — a double-claimed slot (the steal bug the per-slot
 /// sequence numbers exist to prevent) shows up as a duplicate.
 template <typename Ring>
 void mpmc_steal_body(Sim& sim) {
@@ -676,7 +613,6 @@ struct SweepBody {
 
 TEST(McNightly, RandomSweepOverAllProtocols) {
     const SweepBody bodies[] = {
-        {"spsc_ring", spsc_body_correct},
         {"mpmc_steal", mpmc_steal_body_correct},
         {"evict_vs_pop", evict_vs_pop_body_correct},
         {"epoch_cell", epoch_cell_body_correct},

@@ -1,7 +1,8 @@
-// Tests for whole-model serialization (.mwmodel files) and the im2col
-// convolution path.
+// Tests for whole-model serialization (.mwmodel files) and the im2col +
+// GEMM convolution forward.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "common/thread_pool.hpp"
@@ -133,26 +134,77 @@ TEST(Im2col, PatchMatrixOfIdentityKernelPosition) {
     EXPECT_EQ(columns.at(0, 4), 1.0F);  // centre pixel sees input(0,0)
 }
 
+/// Same-padded stride-1 convolution in the textbook loop order: each output
+/// starts at its bias and adds the in-bounds taps in (c, ky, kx) order.
+Tensor naive_conv(const Tensor& in, const Tensor& weights, const Tensor& bias) {
+    const std::size_t batch = in.shape()[0];
+    const std::size_t in_ch = in.shape()[1];
+    const std::size_t h = in.shape()[2];
+    const std::size_t w = in.shape()[3];
+    const std::size_t filters = weights.shape()[0];
+    const std::size_t k = weights.shape()[2];
+    const auto pad = static_cast<std::ptrdiff_t>(k / 2);
+    const auto hh = static_cast<std::ptrdiff_t>(h);
+    const auto ww = static_cast<std::ptrdiff_t>(w);
+    Tensor out(Shape{batch, filters, h, w});
+    for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t f = 0; f < filters; ++f) {
+            for (std::ptrdiff_t y = 0; y < hh; ++y) {
+                for (std::ptrdiff_t x = 0; x < ww; ++x) {
+                    float acc = bias.at(f);
+                    for (std::size_t c = 0; c < in_ch; ++c) {
+                        for (std::size_t ky = 0; ky < k; ++ky) {
+                            const std::ptrdiff_t yy = y + static_cast<std::ptrdiff_t>(ky) - pad;
+                            if (yy < 0 || yy >= hh) continue;
+                            for (std::size_t kx = 0; kx < k; ++kx) {
+                                const std::ptrdiff_t xx =
+                                    x + static_cast<std::ptrdiff_t>(kx) - pad;
+                                if (xx < 0 || xx >= ww) continue;
+                                acc += weights.at(((f * in_ch + c) * k + ky) * k + kx) *
+                                       in.at(((b * in_ch + c) * h + static_cast<std::size_t>(yy)) *
+                                                 w +
+                                             static_cast<std::size_t>(xx));
+                            }
+                        }
+                    }
+                    out.at(((b * filters + f) * h + static_cast<std::size_t>(y)) * w +
+                           static_cast<std::size_t>(x)) = acc;
+                }
+            }
+        }
+    }
+    return out;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
 class ConvEquivalence : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
-TEST_P(ConvEquivalence, Im2colMatchesDirect) {
+TEST_P(ConvEquivalence, ForwardIsBitwiseEqualToNaiveReference) {
     const auto [in_ch, filters, k, hw] = GetParam();
-    Conv2d direct(in_ch, filters, k, Activation::kRelu);
+    Conv2d conv(in_ch, filters, k, Activation::kIdentity);
     Rng rng(11);
-    direct.weights().fill_normal(rng, 0.0F, 0.2F);
-    direct.bias().fill_uniform(rng, -0.1F, 0.1F);
+    conv.weights().fill_normal(rng, 0.0F, 0.2F);
+    conv.bias().fill_uniform(rng, -0.1F, 0.1F);
 
     Tensor in(Shape{3, static_cast<std::size_t>(in_ch), static_cast<std::size_t>(hw),
                     static_cast<std::size_t>(hw)});
     in.fill_normal(rng, 0.0F, 1.0F);
-    Tensor out_direct(direct.output_shape(in.shape()));
-    direct.forward(in, out_direct, nullptr);
+    const Tensor reference = naive_conv(in, conv.weights(), conv.bias());
 
-    direct.set_algorithm(ConvAlgorithm::kIm2col);
-    Tensor out_lowered(direct.output_shape(in.shape()));
-    direct.forward(in, out_lowered, nullptr);
+    Tensor serial(conv.output_shape(in.shape()));
+    conv.forward(in, serial, nullptr);
+    EXPECT_TRUE(bitwise_equal(serial, reference))
+        << "max |diff| " << serial.max_abs_diff(reference);
 
-    EXPECT_LT(out_direct.max_abs_diff(out_lowered), 2e-4F);
+    ThreadPool pool(3);
+    Tensor pooled(conv.output_shape(in.shape()));
+    conv.forward(in, pooled, &pool);
+    EXPECT_TRUE(bitwise_equal(pooled, reference))
+        << "max |diff| " << pooled.max_abs_diff(reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ConvEquivalence,
@@ -164,7 +216,6 @@ TEST(Im2col, ParallelMatchesSerial) {
     Conv2d conv(3, 16, 3, Activation::kIdentity);
     Rng rng(12);
     conv.weights().fill_normal(rng, 0.0F, 0.2F);
-    conv.set_algorithm(ConvAlgorithm::kIm2col);
     Tensor in(Shape{6, 3, 16, 16});
     in.fill_normal(rng, 0.0F, 1.0F);
     Tensor serial(conv.output_shape(in.shape()));
@@ -172,22 +223,8 @@ TEST(Im2col, ParallelMatchesSerial) {
     ThreadPool pool(3);
     Tensor parallel(conv.output_shape(in.shape()));
     conv.forward(in, parallel, &pool);
-    EXPECT_LT(serial.max_abs_diff(parallel), 1e-6F);
-}
-
-TEST(Im2col, FullModelForwardEquivalent) {
-    // Flip every conv layer of mnist-cnn to im2col; predictions must match.
-    Model direct = build_model(zoo::mnist_cnn(), 9);
-    Model lowered = build_model(zoo::mnist_cnn(), 9);
-    for (std::size_t li = 0; li < lowered.layer_count(); ++li) {
-        if (auto* conv = dynamic_cast<Conv2d*>(&lowered.layer(li))) {
-            conv->set_algorithm(ConvAlgorithm::kIm2col);
-        }
-    }
-    Rng rng(13);
-    Tensor x(direct.input_shape(4));
-    x.fill_uniform(rng, 0.0F, 1.0F);
-    EXPECT_LT(direct.forward(x).max_abs_diff(lowered.forward(x)), 1e-4F);
+    EXPECT_TRUE(bitwise_equal(serial, parallel))
+        << "max |diff| " << serial.max_abs_diff(parallel);
 }
 
 }  // namespace

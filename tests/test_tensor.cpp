@@ -1,6 +1,8 @@
 // Unit tests for shapes, tensors and the linear-algebra kernels.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "tensor/shape.hpp"
@@ -125,6 +127,41 @@ TEST(Gemm, ParallelMatchesSerial) {
     ThreadPool pool(3);
     gemm(a, b, parallel, &pool);
     EXPECT_LT(serial.max_abs_diff(parallel), 1e-5F);
+}
+
+TEST(Gemm, AccumulateAddsProductOntoExistingC) {
+    Rng rng(4);
+    const std::size_t m = 5;
+    const std::size_t k = 11;
+    const std::size_t n = 7;
+    Tensor a(Shape{m, k});
+    Tensor b(Shape{k, n});
+    Tensor c(Shape{m, n});
+    a.fill_uniform(rng, -1.0F, 1.0F);
+    b.fill_uniform(rng, -1.0F, 1.0F);
+    c.fill_uniform(rng, -2.0F, 2.0F);
+    a.at(1, 3) = 0.0F;  // a zero a(i, k) skips its row of B
+
+    // Each element starts at its old value and adds the k products in order.
+    Tensor expected(Shape{m, n});
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float acc = c.at(i, j);
+            for (std::size_t kk = 0; kk < k; ++kk) acc += a.at(i, kk) * b.at(kk, j);
+            expected.at(i, j) = acc;
+        }
+    }
+    gemm_accumulate(a.data(), b.data(), c.data(), m, k, n);
+    EXPECT_EQ(std::memcmp(c.data(), expected.data(), c.numel() * sizeof(float)), 0)
+        << "max |diff| " << c.max_abs_diff(expected);
+
+    // gemm() zeroes C first, so whatever C held does not leak into it.
+    Tensor clean(Shape{m, n});
+    Tensor dirty(Shape{m, n});
+    dirty.fill(5.0F);
+    gemm(a, b, clean);
+    gemm(a, b, dirty);
+    EXPECT_EQ(std::memcmp(clean.data(), dirty.data(), clean.numel() * sizeof(float)), 0);
 }
 
 TEST(GemmBt, EquivalentToGemmWithTranspose) {
