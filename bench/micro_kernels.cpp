@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the real inference kernels that every
-// device executes (GEMM, convolution, pooling, full-model forward passes).
+// device executes (GEMM, convolution, pooling, full-model forward passes),
+// plus the seeded model build that adding a model to a running server pays.
 #include <benchmark/benchmark.h>
 
 #include "common/thread_pool.hpp"
@@ -99,6 +100,18 @@ void BM_ModelForward(benchmark::State& state, const char* model_name) {
 BENCHMARK_CAPTURE(BM_ModelForward, simple, "simple");
 BENCHMARK_CAPTURE(BM_ModelForward, mnist_small, "mnist-small");
 BENCHMARK_CAPTURE(BM_ModelForward, mnist_cnn, "mnist-cnn");
+
+/// One seeded model build: layer construction plus weight init, which for
+/// these two is almost all Box-Muller draws through `Tensor::fill_normal`.
+void BM_BuildModel(benchmark::State& state, const char* model_name) {
+    const nn::ModelSpec spec = nn::zoo::by_name(model_name);
+    for (auto _ : state) {
+        const nn::Model model = nn::build_model(spec, 7);
+        benchmark::DoNotOptimize(&model);
+    }
+}
+BENCHMARK_CAPTURE(BM_BuildModel, mnist_small, "mnist-small")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildModel, mnist_cnn, "mnist-cnn")->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

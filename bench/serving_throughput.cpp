@@ -18,7 +18,9 @@
 // Part 4 is the degraded-mode bench: a resilient server under a hard device
 // kill. Three closed-loop windows (healthy, killed, revived) show sustained
 // QPS surviving the kill via breaker exclusion and recovering after the
-// half-open re-probe.
+// half-open re-probe. Its recovered/healthy ratio is printed against an
+// advisory 0.70 target that nothing gates on (one short window on a shared
+// host scatters it); the exit code does not depend on it.
 //
 // Part 5 is the zero-allocation ticket API (DESIGN.md §15): closed-loop
 // ticket clients against the sharded work-stealing rings. Its QPS is the
@@ -559,8 +561,8 @@ int main(int argc, char** argv) {
                 deg.recovered_qps);
     const double recovered_ratio =
         deg.healthy_qps > 0.0 ? deg.recovered_qps / deg.healthy_qps : 0.0;
-    std::printf("  recovered/healthy: %.2f (target: >= 0.70)%s\n", recovered_ratio,
-                recovered_ratio >= 0.70 ? "" : "  ** BELOW TARGET **");
+    std::printf("  recovered/healthy: %.2f (advisory target: >= 0.70, not gated)%s\n",
+                recovered_ratio, recovered_ratio >= 0.70 ? "" : "  (below advisory target)");
 
     if (json_path != nullptr) write_json(json_path, summary);
     return 0;

@@ -43,6 +43,8 @@ public:
                       const std::function<void(std::size_t)>& fn, std::size_t grain = 0);
 
     /// Process-wide shared pool (lazily constructed, hardware concurrency).
+    /// Its user is `Tensor::fill_normal`, which fills large weight tensors
+    /// one block per task; a process that never fills one never starts it.
     static ThreadPool& global();
 
 private:

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 
 namespace mw {
 
@@ -92,9 +94,32 @@ std::span<float> Tensor::row(std::size_t r) {
 void Tensor::fill(float value) { std::fill_n(data_.get(), numel(), value); }
 
 void Tensor::fill_normal(Rng& rng, float mean, float stddev) {
-    for (std::size_t i = 0; i < numel(); ++i) {
-        (*this)[i] = static_cast<float>(rng.normal(mean, stddev));
+    const auto fill_range = [this, mean, stddev](Rng& r, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            (*this)[i] = static_cast<float>(r.normal(mean, stddev));
+        }
+    };
+    const std::size_t n = numel();
+    if (n < 2 * kFillNormalBlock) {
+        fill_range(rng, 0, n);
+        return;
     }
+    // Skipping a draw costs two raw steps and no log/sqrt/cos, so one serial
+    // pass finds every block's start state and the blocks fill in parallel.
+    const std::size_t blocks = (n + kFillNormalBlock - 1) / kFillNormalBlock;
+    std::vector<Rng> starts;
+    starts.reserve(blocks);
+    for (std::size_t b = 0; b < blocks; ++b) {
+        starts.push_back(rng);
+        rng.discard_normals(std::min(kFillNormalBlock, n - b * kFillNormalBlock));
+    }
+    ThreadPool::global().parallel_for(
+        0, blocks,
+        [&](std::size_t b) {
+            Rng r = starts[b];
+            fill_range(r, b * kFillNormalBlock, std::min(n, (b + 1) * kFillNormalBlock));
+        },
+        1);
 }
 
 void Tensor::fill_uniform(Rng& rng, float lo, float hi) {

@@ -66,7 +66,15 @@ public:
 
     void fill(float value);
 
-    /// Fill with N(mean, stddev) draws from `rng`.
+    /// Elements per task of a parallel `fill_normal`.
+    static constexpr std::size_t kFillNormalBlock = std::size_t{1} << 14;
+
+    /// Fill with N(mean, stddev) draws from `rng`: element i gets the i-th
+    /// `rng.normal(mean, stddev)`, and `rng` ends where that serial loop would
+    /// leave it. Tensors of two or more blocks are filled one task per block
+    /// on `ThreadPool::global()`, each task starting from the generator state
+    /// a serial skip pass recorded for its block, so the result is
+    /// bit-identical for any thread count.
     void fill_normal(Rng& rng, float mean, float stddev);
 
     /// Fill with U[lo, hi) draws from `rng`.

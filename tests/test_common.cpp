@@ -98,6 +98,19 @@ TEST(Rng, SplitIsIndependent) {
     EXPECT_NE(parent(), child());
 }
 
+TEST(Rng, DiscardNormalsAdvancesLikeNormal) {
+    for (const std::uint64_t seed : {1ULL, 7ULL, 0x5eedULL}) {
+        for (const std::size_t n : {0U, 1U, 2U, 3U, 1000U, 16384U}) {
+            Rng drawn(seed);
+            Rng skipped(seed);
+            for (std::size_t i = 0; i < n; ++i) (void)drawn.normal();
+            skipped.discard_normals(n);
+            EXPECT_EQ(drawn(), skipped()) << "seed " << seed << ", n " << n;
+            EXPECT_EQ(drawn.normal(), skipped.normal()) << "seed " << seed << ", n " << n;
+        }
+    }
+}
+
 TEST(OnlineStats, MatchesBatchFormulas) {
     Rng rng(3);
     OnlineStats stats;

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -92,6 +94,43 @@ TEST(Tensor, RandomFillsAreDeterministic) {
     a.fill_normal(r1, 0.0F, 1.0F);
     b.fill_normal(r2, 0.0F, 1.0F);
     EXPECT_EQ(a.max_abs_diff(b), 0.0F);
+}
+
+/// Fills an n-element tensor from Rng(seed) and compares it, bit for bit,
+/// with the serial `normal(mean, stddev)` draws of a copied generator, then
+/// compares both generators' next raw draw. Returns "" on a match; gtest
+/// assertions stay on the test thread.
+std::string fill_normal_mismatch(std::size_t n, std::uint64_t seed) {
+    Rng rng(seed);
+    Rng serial = rng;
+    Tensor t(Shape{n});
+    t.fill_normal(rng, 0.25F, 1.5F);
+    std::vector<float> expected(n);
+    for (auto& x : expected) x = static_cast<float>(serial.normal(0.25F, 1.5F));
+    if (std::memcmp(t.data(), expected.data(), n * sizeof(float)) != 0) {
+        return "values differ at n=" + std::to_string(n);
+    }
+    if (rng() != serial()) return "generator position differs at n=" + std::to_string(n);
+    return "";
+}
+
+TEST(Tensor, FillNormalIsBitwiseEqualToSerialDraws) {
+    constexpr std::size_t kBlock = Tensor::kFillNormalBlock;
+    const std::vector<std::size_t> sizes{2 * kBlock - 1, 2 * kBlock, 2 * kBlock + 1,
+                                         std::size_t{784} * 784};
+    for (const std::size_t n : sizes) EXPECT_EQ(fill_normal_mismatch(n, 17), "");
+
+    // The same fills from inside pool tasks: a nested parallel_for on the
+    // pool the fill itself uses, then a task of a separate pool.
+    std::vector<std::string> nested(sizes.size());
+    ThreadPool::global().parallel_for(
+        0, sizes.size(), [&](std::size_t i) { nested[i] = fill_normal_mismatch(sizes[i], 23); },
+        1);
+    for (const auto& m : nested) EXPECT_EQ(m, "");
+    std::string in_task;
+    ThreadPool pool(2);
+    pool.submit([&] { in_task = fill_normal_mismatch(sizes.back(), 29); }).get();
+    EXPECT_EQ(in_task, "");
 }
 
 TEST(Gemm, MatchesNaive) {
